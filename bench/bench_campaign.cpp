@@ -6,11 +6,11 @@
 // The "campaign" and "aggregate" blocks of each entry are
 // bit-deterministic for a fixed seed — across runs, thread counts, and
 // batch widths — so perf tracking can diff them; wall times live in
-// the separate "run" blocks.  The demo entry carries a three-way
-// differential (batched SoA vs scalar incremental vs full-STA rebuild)
-// with batch_check/sta_check verdicts and batch_speedup/sta_speedup
-// ratios.  bench/run_bench.sh validates the artifact schema and fails
-// on a degraded (cancelled / partial) flow status or a diverged check.
+// the separate "run" blocks.  The demo entry carries the batched SoA
+// vs scalar engine differential with a batch_check verdict and a
+// batch_speedup ratio.  bench/run_bench.sh validates the artifact
+// schema and fails on a degraded (cancelled / partial) flow status or
+// a diverged check.
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -102,7 +102,7 @@ int main() {
                   << config.population << ", batch width " << kBatchWidth
                   << ")\n";
         // Default run: the batched SoA engine at the compiled width
-        // (identical to scalar when FASTMON_BATCH_WIDTH=1).
+        // (the scalar engine in a -DFASTMON_BATCH_WIDTH=1 build).
         const CampaignResult result = run_campaign(target.netlist, config);
         const CampaignAggregate& agg = result.aggregate;
         const double batched_wall = result.total_wall_seconds;
@@ -122,9 +122,8 @@ int main() {
         }
 
         if (t == 0 && !CancelToken::global().cancelled()) {
-            // Three-way differential on the demo circuit: the batched
-            // SoA engine, the scalar incremental engine, and the legacy
-            // from-scratch STA must all produce bit-identical
+            // Differential on the demo circuit: the batched SoA engine
+            // and the scalar engine must produce bit-identical
             // deterministic report blocks.
             auto blocks_match = [&](const Json& a, const Json& b,
                                     const char* what) {
@@ -143,39 +142,22 @@ int main() {
 
             CampaignConfig scalar = config;
             scalar.batch_width = 1;
-            std::cout << "  scalar incremental reference pass "
-                         "(differential check)\n";
+            std::cout << "  scalar reference pass (differential check)\n";
             const CampaignResult scalar_result =
                 run_campaign(target.netlist, scalar);
             const double scalar_wall = scalar_result.total_wall_seconds;
             const bool batch_ok =
                 blocks_match(entry, scalar_result.to_json(scalar),
-                             "batched and scalar incremental");
+                             "batched and scalar");
+            identical = identical && batch_ok;
 
-            CampaignConfig reference = config;
-            reference.full_sta = true;
-            std::cout << "  full-STA reference pass (differential check)\n";
-            const CampaignResult full =
-                run_campaign(target.netlist, reference);
-            const double full_wall = full.total_wall_seconds;
-            const bool sta_ok =
-                blocks_match(entry, full.to_json(reference),
-                             "batched and full STA");
-            identical = identical && batch_ok && sta_ok;
-
-            const double sta_speedup =
-                scalar_wall > 0.0 ? full_wall / scalar_wall : 0.0;
             const double batch_speedup =
                 batched_wall > 0.0 ? scalar_wall / batched_wall : 0.0;
             std::cout << "  batched wall " << batched_wall
                       << " s vs scalar " << scalar_wall << " s ("
-                      << batch_speedup << "x) vs full " << full_wall
-                      << " s (" << sta_speedup << "x over scalar)\n";
-            entry.set("sta_check", sta_ok ? "identical" : "diverged");
+                      << batch_speedup << "x)\n";
             entry.set("batch_check", batch_ok ? "identical" : "diverged");
-            entry.set("full_sta_wall_seconds", full_wall);
             entry.set("scalar_wall_seconds", scalar_wall);
-            entry.set("sta_speedup", sta_speedup);
             entry.set("batch_speedup", batch_speedup);
 
             // Telemetry differential: the heartbeat sidecar and the
@@ -318,7 +300,7 @@ int main() {
     }
     if (!identical) {
         std::cout << "ERROR: a differential or separation gate failed "
-                     "(see batch_check / sta_check / mission_check / "
+                     "(see batch_check / mission_check / "
                      "profiles_distinct)\n";
         return 1;
     }

@@ -70,7 +70,7 @@ BENCHMARK(BM_Sta);
 
 // The campaign hot path: one persistent engine, every iteration applies
 // a dense aging-style delta (every combinational gate rescaled) and
-// re-propagates only what changed bitwise.
+// runs a full forward pass.
 void BM_StaEngineUpdateDense(benchmark::State& state) {
     const Netlist& nl = test_circuit();
     StaEngine engine(nl, test_delays(), 1.05, StaEngine::Scope::Arrivals);
@@ -88,28 +88,6 @@ void BM_StaEngineUpdateDense(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_StaEngineUpdateDense);
-
-// Sparse perturbation (a single defect arc): the cone-limited best case.
-void BM_StaEngineUpdateSparse(benchmark::State& state) {
-    const Netlist& nl = test_circuit();
-    StaEngine engine(nl, test_delays(), 1.05, StaEngine::Scope::Arrivals);
-    engine.analyze();
-    const std::vector<GateId> sites = [&] {
-        std::vector<GateId> v;
-        for (GateId id = 0; id < nl.size(); ++id) {
-            if (is_combinational(nl.gate(id).type)) v.push_back(id);
-        }
-        return v;
-    }();
-    DelayDelta delta;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        delta.clear();
-        delta.add(sites[i++ % sites.size()], DelayDelta::kAllPins, 3.5);
-        benchmark::DoNotOptimize(engine.update(delta));
-    }
-}
-BENCHMARK(BM_StaEngineUpdateSparse);
 
 void BM_WaveSimPattern(benchmark::State& state) {
     const Netlist& nl = test_circuit();

@@ -84,20 +84,18 @@ for entry in entries:
           f"(pop {entry['campaign']['population']:.0f}, "
           f"ROC AUC {cls['roc_auc']:.3f}, AP {cls['average_precision']:.3f})")
 
-# The demo entry carries the three-way differential (batched SoA vs
-# scalar incremental vs full-STA rebuild): the deterministic blocks
-# must be identical and both recorded speedups positive finite ratios
-# (regressions show up here before the aggregate wall time moves).
+# The demo entry carries the batched SoA vs scalar differential: the
+# deterministic blocks must be identical and the recorded speedup a
+# positive finite ratio (regressions show up here before the aggregate
+# wall time moves).
 demo = entries[0]
-for check in ("sta_check", "batch_check"):
-    if demo.get(check) != "identical":
-        sys.exit(f"ERROR: campaign differential diverged "
-                 f"({check}={demo.get(check)!r})")
-for key in ("sta_speedup", "batch_speedup"):
-    value = demo.get(key)
-    if not isinstance(value, (int, float)) or not (value > 0.0):
-        sys.exit(f"ERROR: demo entry {key}={value!r} is not a "
-                 "positive number")
+if demo.get("batch_check") != "identical":
+    sys.exit(f"ERROR: campaign differential diverged "
+             f"(batch_check={demo.get('batch_check')!r})")
+value = demo.get("batch_speedup")
+if not isinstance(value, (int, float)) or not (value > 0.0):
+    sys.exit(f"ERROR: demo entry batch_speedup={value!r} is not a "
+             "positive number")
 width = demo.get("batch_width")
 if not isinstance(width, int) or width < 1:
     sys.exit(f"ERROR: demo entry batch_width={width!r} is not a "
@@ -133,7 +131,6 @@ for name in ("server_247", "automotive_thermal_cycling", "mobile_bursty"):
           f"failed {row['failed']:.0f})")
 print(f"campaign differentials ok: identical blocks at width {width}, "
       f"batched {demo['batch_speedup']:.2f}x vs scalar, "
-      f"scalar {demo['sta_speedup']:.2f}x vs full rebuild, "
       f"{dps:.0f} devices/sec")
 
 # The heartbeat sidecar from the telemetry pass must have reached an

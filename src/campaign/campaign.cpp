@@ -91,18 +91,10 @@ Json sketch_block(const QuantileSketch& sketch) {
 }
 
 // Lanes per batched pass.  Not part of the fingerprint or canonical
-// string: every width (and full_sta) produces bit-identical outcomes.
+// string: every width produces bit-identical outcomes.
 std::size_t resolve_batch_width(const CampaignConfig& config) {
-    if (config.full_sta) return 1;  // the from-scratch reference path
-    std::size_t width = config.batch_width;
-    if (width == 0) {
-        width = kBatchWidth;
-        if (const char* env = std::getenv("FASTMON_BATCH_WIDTH")) {
-            const long long v = std::atoll(env);
-            if (v >= 1) width = static_cast<std::size_t>(v);
-        }
-    }
-    return std::clamp<std::size_t>(width, 1, kBatchWidth);
+    if (config.batch_width == 0) return kBatchWidth;
+    return std::min(config.batch_width, kBatchWidth);
 }
 
 /// Shard fault-injection poll at device boundaries.  `shard.crash`
@@ -227,9 +219,7 @@ Json CampaignResult::to_json(const CampaignConfig& config) const {
     Json run = Json::object();
     // sta_mode/batch_width are run bookkeeping, not campaign identity:
     // every mode must produce identical "campaign"/"aggregate" blocks.
-    run.set("sta_mode", config.full_sta      ? "full_rebuild"
-                        : batch_width > 1 ? "batched"
-                                          : "incremental");
+    run.set("sta_mode", batch_width > 1 ? "batched" : "incremental");
     run.set("batch_width", batch_width);
     if (config.shard_count > 1) {
         run.set("shard_index", config.shard_index);
@@ -285,7 +275,6 @@ CampaignResult run_campaign(const Netlist& netlist,
         ctx.grid = make_year_grid(config.horizon_years, config.step_years);
         ctx.screen_years = config.screen_years;
         ctx.variation_sigma_log = config.model.variation.sigma_log;
-        ctx.full_sta = config.full_sta;
         if (config.wearout.enabled) {
             // Design-time characterization (activity extraction over
             // the nominal annotation) plus mission-rate resolution —
@@ -445,15 +434,9 @@ CampaignResult run_campaign(const Netlist& netlist,
                 const StaEngine::Stats& es = engine->stats();
                 metrics.counter("campaign.sta_full_passes")
                     .add(es.full_passes);
-                metrics.counter("campaign.sta_incremental_updates")
-                    .add(es.incremental_updates);
                 metrics.counter("campaign.sta_dense_updates")
                     .add(es.dense_updates);
                 metrics.counter("campaign.sta_rebases").add(es.rebases);
-                metrics.counter("campaign.sta_nodes_repropagated")
-                    .add(es.nodes_repropagated);
-                metrics.counter("campaign.sta_nodes_pruned")
-                    .add(es.nodes_pruned);
             }
         };
 

@@ -59,21 +59,13 @@ struct CampaignConfig {
     /// fingerprint mismatch degrades to a fresh start, recorded in the
     /// status block).
     bool resume = false;
-    /// Roll every device with the legacy full-STA path instead of the
-    /// incremental engine.  Deliberately NOT part of the campaign
-    /// fingerprint: both modes produce bit-identical outcomes (this is
-    /// what the differential CI check asserts), so checkpoints are
-    /// interchangeable.
-    bool full_sta = false;
-    /// Devices rolled per batched STA pass.  0 = auto: the compiled
-    /// column width (FASTMON_BATCH_WIDTH, default 8), overridable at
-    /// runtime by a FASTMON_BATCH_WIDTH environment variable.  1 =
-    /// the legacy scalar incremental engine (the reference path for
-    /// the batched differential); larger values clamp to the compiled
-    /// width; full_sta forces 1.  Like full_sta, deliberately NOT
-    /// part of the campaign fingerprint: every width produces
-    /// bit-identical outcomes, so checkpoints are interchangeable
-    /// across widths.
+    /// Devices rolled per batched STA pass.  0 = the compiled column
+    /// width (the FASTMON_BATCH_WIDTH CMake option, default 8).  1 =
+    /// the scalar StaEngine per device (the reference path for the
+    /// batched differential); larger values clamp to the compiled
+    /// width.  Deliberately NOT part of the campaign fingerprint:
+    /// every width produces bit-identical outcomes, so checkpoints are
+    /// interchangeable across widths.
     std::size_t batch_width = 0;
     /// Live-telemetry heartbeat sidecar (see util/progress.hpp): when
     /// non-empty, a sampler thread atomically rewrites this JSON file

@@ -149,7 +149,7 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
         DelayAnnotation::with_lognormal_variation(
             *ctx.netlist, ctx.variation_sigma_log, sample.seed);
     StaEngine* engine = nullptr;
-    if (engine_scratch && !ctx.full_sta) {
+    if (engine_scratch) {
         if (!*engine_scratch) {
             // Monitor evaluation needs arrivals only; the simulator
             // rebases the engine to each device's annotation.
@@ -160,7 +160,6 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
     }
     LifetimeSimulator sim(*ctx.netlist, annotation, ctx.clock_period,
                           sample.aging, sample.seed, engine, ctx.wearout);
-    if (ctx.full_sta) sim.set_sta_mode(LifetimeSimulator::StaMode::FullRebuild);
     for (const MarginalDefect& defect : sample.defects) {
         sim.add_defect(defect);
     }
@@ -204,9 +203,7 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
 BatchRollout::BatchRollout(const RolloutContext& ctx)
     : ctx_(&ctx),
       nominal_(DelayAnnotation::nominal(*ctx.netlist)),
-      // The rollout only evaluates max arrivals against the monitor
-      // bands, so min-arrival tracking is dropped entirely.
-      engine_(*ctx.netlist, nominal_, 1.0, /*track_min=*/false) {
+      engine_(*ctx.netlist, nominal_, 1.0) {
     const auto ops = ctx.netlist->observe_points();
     const MonitorPlacement& placement = *ctx.placement;
     for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
@@ -270,11 +267,10 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
 
     const Time* const arr = engine_.max_arrival_data();
     for (const double year : ctx_->grid) {
-        batch_delta_.clear();
         // Every lane's delta comes from the same DeviceDegradation
-        // formula (all combinational gates, ascending), so the engine
-        // may skip its per-update shape detection.
-        batch_delta_.aligned = true;
+        // formula (all combinational gates, ascending): the shape
+        // BatchDelayDelta requires.
+        batch_delta_.clear();
         const double pow_term =
             shared_term && year > 0.0 ? model0.pow_term(year) : 0.0;
         bool any_active = false;

@@ -40,11 +40,6 @@ struct RolloutContext {
     double screen_years = 0.5;
     /// Per-gate lognormal process-variation sigma (VariationModel).
     double variation_sigma_log = 0.05;
-    /// Force the legacy full-STA path (LifetimeSimulator FullRebuild)
-    /// instead of the incremental engine; the differential reference
-    /// for the bit-identity check.  Not part of the campaign
-    /// fingerprint: both modes produce identical outcomes.
-    bool full_sta = false;
     /// Multi-mechanism wear-out model (mission profile campaigns);
     /// null = the legacy single-knob aging path.
     const WearoutModel* wearout = nullptr;
@@ -94,10 +89,9 @@ struct DeviceOutcome {
 std::vector<double> make_year_grid(double horizon_years, double step_years);
 
 /// Rolls one sampled device through its lifetime.  `engine_scratch`
-/// (optional) is a worker-local incremental STA engine slot: the first
-/// device constructs it, later devices rebase it — so arenas persist
-/// across a whole shard.  With ctx.full_sta the scratch is ignored and
-/// every grid point pays a from-scratch pass.
+/// (optional) is a worker-local STA engine slot: the first device
+/// constructs it, later devices rebase it — so arenas persist across a
+/// whole shard.
 DeviceOutcome roll_device(const RolloutContext& ctx,
                           const DeviceSample& sample,
                           std::unique_ptr<StaEngine>* engine_scratch = nullptr);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <sys/stat.h>
 
 #include "campaign/checkpoint.hpp"
@@ -24,9 +25,16 @@ Json sketch_block(const QuantileSketch& sketch) {
 /// artifact: the result still parses as JSON, so only the content
 /// checksum can catch it — exactly the damage class the merge side
 /// must detect.  (shard.corrupt_artifact fault-injection helper.)
+/// Only the leading digit of a number qualifies: a trailing digit of a
+/// 17-significant-digit double may parse back to the same value, which
+/// would leave the artifact undamaged.
 void corrupt_in_place(std::string& text) {
-    const std::size_t start = text.size() / 2;
+    const std::string_view number_chars = "0123456789.+-eE";
+    const std::size_t start = std::max<std::size_t>(text.size() / 2, 1);
     for (std::size_t i = start; i < text.size(); ++i) {
+        if (number_chars.find(text[i - 1]) != std::string_view::npos) {
+            continue;
+        }
         if (text[i] >= '0' && text[i] <= '8') {
             ++text[i];
             return;

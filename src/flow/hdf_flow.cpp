@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "timing/sta_engine.hpp"
 #include "util/cancel.hpp"
 #include "util/fault_inject.hpp"
 #include "util/log.hpp"
@@ -173,10 +174,9 @@ void HdfFlow::prepare() {
                       ? DelayAnnotation::with_variation(
                             nl, config_.variation_sigma, config_.seed)
                       : DelayAnnotation::nominal(nl);
-        // The optional keeps *delays_ address-stable, so the engine can
-        // hold it as its base and serve incremental updates later.
-        sta_engine_.emplace(nl, *delays_, config_.clock_margin);
-        sta_ = sta_engine_->analyze();
+        StaEngine engine(nl, *delays_, config_.clock_margin);
+        engine.analyze();
+        sta_ = engine.take_result();
     });
 
     // Monitor insertion at long path ends (essential: the monitored set

@@ -26,7 +26,7 @@
 #include "monitor/placement.hpp"
 #include "monitor/shifting.hpp"
 #include "schedule/pattern_config_select.hpp"
-#include "timing/sta_engine.hpp"
+#include "timing/sta.hpp"
 #include "util/manifest.hpp"
 
 namespace fastmon {
@@ -161,12 +161,6 @@ public:
     [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
     [[nodiscard]] const HdfFlowConfig& config() const { return config_; }
     [[nodiscard]] const StaResult& sta() const { return sta_; }
-    /// The incremental engine behind the sta phase (null before
-    /// prepare()); downstream passes can run cone-limited updates
-    /// against the flow's annotation without re-running full STA.
-    [[nodiscard]] const StaEngine* sta_engine() const {
-        return sta_engine_ ? &*sta_engine_ : nullptr;
-    }
     [[nodiscard]] const MonitorPlacement& placement() const { return placement_; }
     [[nodiscard]] const TestSet& patterns() const { return test_set_; }
     [[nodiscard]] const FaultUniverse& universe() const { return universe_; }
@@ -227,9 +221,6 @@ private:
     bool prepared_ = false;
 
     std::optional<DelayAnnotation> delays_;
-    /// Engine declared after delays_ (it holds a pointer to *delays_,
-    /// which std::optional keeps address-stable once emplaced).
-    std::optional<StaEngine> sta_engine_;
     StaResult sta_;
     MonitorPlacement placement_;
     TestSet test_set_;

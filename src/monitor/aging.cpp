@@ -157,7 +157,6 @@ double DeviceDegradation::mechanism_coefficient(std::size_t m,
 }
 
 void DeviceDegradation::fill_wearout(double years, DelayDelta& delta) const {
-    delta.uniform_scale = 1.0;
     const std::size_t n = comb_gates_.size();
     const std::size_t num_mechs = wearout_->num_mechanisms();
     coef_.resize(num_mechs);
@@ -209,7 +208,6 @@ void DeviceDegradation::fill_from_factor(double years, double factor,
     // shape (every combinational gate, ascending) is fixed per device
     // and this runs once per lane per grid year in the campaign hot
     // path.  Contents are bit-identical to the rebuild.
-    delta.uniform_scale = 1.0;
     const double base_factor = factor - 1.0;
     const std::size_t n = comb_gates_.size();
     delta.scales.resize(n);
@@ -284,26 +282,14 @@ void LifetimeSimulator::evaluate_into(double years,
                                       const MonitorPlacement& placement,
                                       LifetimePoint& out) const {
     fill_delta(years, scratch_delta_);
-    const StaResult* sta = nullptr;
-    StaResult rebuilt;
-    if (sta_mode_ == StaMode::Incremental) {
-        sta = &engine().update(scratch_delta_);
-    } else {
-        // Legacy reference path: transform a private annotation copy and
-        // run a from-scratch pass (same arithmetic; bit-identical).
-        const DelayAnnotation ann = base_->transformed(scratch_delta_);
-        StaEngine full(*netlist_, ann, 1.0, StaEngine::Scope::Full);
-        full.analyze();
-        rebuilt = full.take_result();
-        sta = &rebuilt;
-    }
+    const StaResult& sta = engine().update(scratch_delta_);
 
     out.years = years;
     out.worst_monitored_arrival = 0.0;
     out.worst_arrival = 0.0;
     const auto ops = netlist_->observe_points();
     for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
-        const Time arrival = sta->max_arrival[ops[oi].signal];
+        const Time arrival = sta.max_arrival[ops[oi].signal];
         out.worst_arrival = std::max(out.worst_arrival, arrival);
         if (oi < placement.monitored.size() && placement.monitored[oi]) {
             out.worst_monitored_arrival =

@@ -147,20 +147,15 @@ private:
 
 class LifetimeSimulator {
 public:
-    /// How evaluate() obtains arrival times.  Incremental (default)
-    /// applies each year's degradation as a DelayDelta to a persistent
-    /// StaEngine; FullRebuild copies + transforms the annotation and
-    /// runs a from-scratch pass (the legacy cost profile, kept as the
-    /// differential reference).  Both produce bit-identical points.
-    enum class StaMode : std::uint8_t { Incremental, FullRebuild };
-
     /// `base` must be the annotation the clock was derived from;
     /// `clock_period` stays fixed over the lifetime (the deployed f_nom).
-    /// A non-null `engine` (constructed for the same netlist, margin
-    /// 1.0) is rebased to `base` and reused — the campaign shares one
-    /// engine per worker across its whole device shard.  A non-null
-    /// `wearout` degrades via the multi-mechanism registry instead of
-    /// the single power-law knob.
+    /// evaluate() applies each year's degradation as a DelayDelta to a
+    /// persistent StaEngine, bit-identical to a from-scratch pass over
+    /// degraded(years).  A non-null `engine` (constructed for the same
+    /// netlist, margin 1.0) is rebased to `base` and reused — the
+    /// campaign shares one engine per worker across its whole device
+    /// shard.  A non-null `wearout` degrades via the multi-mechanism
+    /// registry instead of the single power-law knob.
     LifetimeSimulator(const Netlist& netlist, const DelayAnnotation& base,
                       Time clock_period, AgingModel model,
                       std::uint64_t seed = 1, StaEngine* engine = nullptr,
@@ -169,9 +164,6 @@ public:
     void add_defect(MarginalDefect defect) {
         degradation_.add_defect(defect);
     }
-
-    void set_sta_mode(StaMode mode) { sta_mode_ = mode; }
-    [[nodiscard]] StaMode sta_mode() const { return sta_mode_; }
 
     /// The device's degradation state at `years` (aging factors plus
     /// defect extras) as a composable delta on the base annotation.
@@ -215,7 +207,6 @@ private:
     const DelayAnnotation* base_;
     Time clock_period_;
     DeviceDegradation degradation_;
-    StaMode sta_mode_ = StaMode::Incremental;
     /// Engine shared by the caller (campaign worker shard), or lazily
     /// owned.  Mutated from const evaluate(): the simulator is
     /// logically const but caches timing state; not thread-safe per

@@ -1,7 +1,7 @@
 // Batched structure-of-arrays static timing analysis.
 //
-// The incremental StaEngine made the lifetime campaign fast per
-// *device*; BatchStaEngine makes it fast per *population*.  One engine
+// StaEngine made the lifetime campaign fast per *device*;
+// BatchStaEngine makes it fast per *population*.  One engine
 // propagates kBatchWidth devices ("lanes") per topological pass: the
 // flattened traversal structure (topo order, fanin ids, arc offsets)
 // is shared once per netlist, while arc delays and arrival times are
@@ -12,11 +12,11 @@
 //
 // Bit-identity contract: the per-lane operation order is exactly the
 // scalar StaEngine's — lanes are independent columns, the pin loop
-// stays outermost, and max/min reductions run in the same order — so a
-// lane's arrivals are bit-for-bit equal to a scalar engine evaluating
-// that device alone.  Campaign outcomes therefore match the scalar
-// reference exactly; the documented <= 4 ulp tolerance of the
-// full-vs-batched differential is headroom for platforms whose
+// stays outermost, and the max reduction runs in the same order — so a
+// lane's max arrivals are bit-for-bit equal to a scalar engine
+// evaluating that device alone.  Campaign outcomes therefore match the
+// scalar reference exactly; the documented <= 4 ulp tolerance of the
+// scalar-vs-batched differential is headroom for platforms whose
 // vectorizer contracts a+b*c into FMA (none of the supported
 // -ffp-contract=off / default GCC x86 configurations do for this
 // code), not an accepted slack on this implementation.
@@ -30,8 +30,10 @@
 // delta slot may stay null.  A retired lane can be re-loaded for the
 // next device without draining the rest of the batch.
 //
-// The engine maintains arrival times only (the campaign hot path);
-// monitor placement and fault classification keep using the scalar
+// The engine maintains max arrival times only (the campaign hot path
+// evaluates nothing else; halving the per-arc work against a min/max
+// pair is most of the batch speedup on small circuits); monitor
+// placement and fault classification keep using the scalar
 // Scope::Full engine.
 #pragma once
 
@@ -61,22 +63,19 @@ static_assert(kBatchWidth >= 1 && kBatchWidth <= 64,
 
 /// Per-lane deltas of one batched update.  A null slot means "no
 /// change requested" and is only legal for retired lanes; every active
-/// lane must carry a delta (possibly empty, meaning "revert to the
-/// lane base").  Deltas are absolute with respect to each lane's base,
-/// exactly like StaEngine::update.
+/// lane must carry a delta (possibly without scales or extras, meaning
+/// "revert to the lane base").  Deltas are absolute with respect to
+/// each lane's base, exactly like StaEngine::update.
+///
+/// Shape precondition: every non-null lane scales the same gate list,
+/// strictly ascending by id — the shape DeviceDegradation always
+/// produces (all combinational gates in id order).  Factors and extras
+/// are free per lane.  Checked by asserts in debug builds, trusted in
+/// release.
 struct BatchDelayDelta {
     std::array<const DelayDelta*, kBatchWidth> lanes{};
-    /// Caller's promise that every non-null lane scales the same gate
-    /// sequence, strictly ascending (the shape DeviceDegradation always
-    /// produces: all combinational gates in id order).  Lets apply()
-    /// skip the per-update shape detection; verified by asserts in
-    /// debug builds, trusted in release.
-    bool aligned = false;
 
-    void clear() {
-        lanes.fill(nullptr);
-        aligned = false;
-    }
+    void clear() { lanes.fill(nullptr); }
     void set(std::size_t lane, const DelayDelta* delta) {
         assert(lane < kBatchWidth);
         lanes[lane] = delta;
@@ -87,7 +86,6 @@ class BatchStaEngine {
 public:
     struct Stats {
         std::uint64_t batch_passes = 0;   ///< full SoA forward passes
-        std::uint64_t scaled_updates = 0; ///< exact pow2 per-lane rescales
         std::uint64_t lane_updates = 0;   ///< active lanes summed over updates
         std::uint64_t lane_loads = 0;
         std::uint64_t lanes_retired = 0;
@@ -95,13 +93,8 @@ public:
 
     /// `base` is the *shared* base annotation (the campaign's nominal
     /// delays); per-device silicon is loaded per lane via load_lane().
-    /// `base` must outlive the engine.  `track_min` = false drops the
-    /// min-arrival columns entirely (allocation and arithmetic): the
-    /// campaign rollout only reads max arrivals, and halving the
-    /// per-arc work is most of the batch speedup on small circuits.
-    /// Max arrivals are bit-identical either way.
     BatchStaEngine(const Netlist& netlist, const DelayAnnotation& base,
-                   double clock_margin = 1.0, bool track_min = true);
+                   double clock_margin = 1.0);
 
     BatchStaEngine(const BatchStaEngine&) = delete;
     BatchStaEngine& operator=(const BatchStaEngine&) = delete;
@@ -112,13 +105,10 @@ public:
     /// scaled by a per-gate factor (factors[gate] applies to every arc
     /// of the gate; 1.0 leaves it at base).  This is the columnar
     /// equivalent of DelayAnnotation::with_lognormal_variation + rebase
-    /// without materializing the annotation: max/min over (rise, fall)
-    /// commute bit-for-bit with the positive per-gate scaling.
-    /// (Re)activates the lane; the next update() rebuilds it densely.
+    /// without materializing the annotation: max over (rise, fall)
+    /// commutes bit-for-bit with the positive per-gate scaling.
+    /// (Re)activates the lane.
     void load_lane(std::size_t lane, std::span<const double> gate_factors);
-
-    /// Lane at the unmodified shared base (all factors 1.0).
-    void load_lane(std::size_t lane);
 
     /// Parks a lane: it stops accepting deltas (its BatchDelayDelta
     /// slot may be null) and its results become meaningless until the
@@ -133,21 +123,12 @@ public:
 
     /// Advances every active lane to base-transformed-by-its-delta and
     /// recomputes arrivals for the whole batch in one topological
-    /// pass.  When every active lane requests a pure power-of-two
-    /// uniform rescale of an already-uniform state, the update is an
-    /// exact O(n) per-lane rescale of the cached columns instead (the
-    /// same tier-1 exactness argument as the scalar engine: scaling by
-    /// 2^k commutes with FP rounding).
+    /// pass.
     void update(const BatchDelayDelta& batch);
 
     /// Latest arrival of `gate` in `lane` after the last update().
     [[nodiscard]] Time max_arrival(GateId gate, std::size_t lane) const {
         return arr_max_[static_cast<std::size_t>(gate) * kBatchWidth + lane];
-    }
-    /// Only meaningful when constructed with track_min = true.
-    [[nodiscard]] Time min_arrival(GateId gate, std::size_t lane) const {
-        assert(track_min_);
-        return arr_min_[static_cast<std::size_t>(gate) * kBatchWidth + lane];
     }
     /// Raw column storage, indexed [gate * width() + lane] — the
     /// evaluation loops of the batch rollout read rows of this.
@@ -167,17 +148,12 @@ public:
 
 private:
     void apply(const BatchDelayDelta& batch);
-    void finish_apply(const BatchDelayDelta& batch);
     void forward();
-    template <bool TrackMin>
-    void forward_impl();
-    void rescale(const BatchDelayDelta& batch);
     void refresh_clock();
     void poll_cancel();
 
     const Netlist* netlist_;
     double margin_;
-    bool track_min_;
 
     /// Shared flattened traversal structure (one copy per netlist,
     /// amortized over every lane and every year).
@@ -186,23 +162,18 @@ private:
     std::vector<std::uint8_t> is_source_;
     std::vector<GateId> fanin_flat_;
 
-    /// Shared base arc delays (max/min over rise/fall), one per arc.
-    std::vector<Time> base_max_, base_min_;
+    /// Shared base arc delays (max over rise/fall), one per arc.
+    std::vector<Time> base_max_;
     /// Columnar per-lane state: [arc * kBatchWidth + lane].
-    std::vector<Time> lane_base_max_, lane_base_min_;
-    std::vector<Time> cur_max_, cur_min_;
+    std::vector<Time> lane_base_max_;
+    std::vector<Time> cur_max_;
     /// Columnar arrivals: [gate * kBatchWidth + lane].
-    std::vector<Time> arr_max_, arr_min_;
+    std::vector<Time> arr_max_;
     std::array<Time, kBatchWidth> cpl_{};
     std::array<Time, kBatchWidth> clock_{};
 
     std::array<std::uint8_t, kBatchWidth> active_{};
-    /// Uniform factor of the lane's current state when that state is a
-    /// pure uniform transform of the lane base; NaN once per-gate
-    /// scales or extras made it general (disables the rescale tier).
-    std::array<double, kBatchWidth> lane_uniform_{};
 
-    bool has_result_ = false;
     Stats stats_;
     std::size_t poll_counter_ = 0;
 };

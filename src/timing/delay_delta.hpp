@@ -1,17 +1,15 @@
 // Composable description of a delay-annotation mutation.
 //
 // A DelayDelta captures everything the flow ever does to a base
-// annotation — a global (aging) scale factor, per-gate degradation
-// factors, and additive extras at defect sites — as data instead of as
-// ad-hoc copy-and-mutate loops.  It is applied either eagerly
-// (DelayAnnotation::transform) or lazily by the incremental StaEngine,
-// which re-propagates arrival times only through the fanout cones of
-// the arcs the delta actually changes.
+// annotation — per-gate (aging, process-variation) degradation factors
+// and additive extras at defect sites — as data instead of as ad-hoc
+// copy-and-mutate loops.  It is applied either eagerly
+// (DelayAnnotation::transform) or over the flattened arcs of a
+// StaEngine / BatchStaEngine.
 //
 // Application order is fixed and part of the bit-identity contract:
-//   1. uniform_scale multiplies every arc,
-//   2. per-gate scales multiply the gate's arcs, in entry order,
-//   3. extras add to the selected arc(s), in entry order.
+//   1. per-gate scales multiply the gate's arcs, in entry order,
+//   2. extras add to the selected arc(s), in entry order.
 // Because every step is a monotone map applied to both the rise and the
 // fall delay of an arc, max/min over (rise, fall) commute with the
 // transformation bit-for-bit — the property StaEngine relies on.
@@ -39,8 +37,6 @@ struct DelayDelta {
         Time extra = 0.0;
     };
 
-    /// Global factor applied to every arc first (1.0 = untouched).
-    double uniform_scale = 1.0;
     /// Per-gate multiplicative degradation, applied in entry order.
     std::vector<GateScale> scales;
     /// Additive per-arc extras (defect deltas), applied in entry order.
@@ -57,13 +53,12 @@ struct DelayDelta {
     }
 
     void clear() {
-        uniform_scale = 1.0;
         scales.clear();
         extras.clear();
     }
 
     [[nodiscard]] bool empty() const {
-        return uniform_scale == 1.0 && scales.empty() && extras.empty();
+        return scales.empty() && extras.empty();
     }
 };
 

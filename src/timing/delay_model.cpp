@@ -104,12 +104,6 @@ DelayAnnotation DelayAnnotation::build(const Netlist& netlist,
 }
 
 DelayAnnotation& DelayAnnotation::transform(const DelayDelta& delta) {
-    if (delta.uniform_scale != 1.0) {
-        for (PinDelay& d : arcs_) {
-            d.rise *= delta.uniform_scale;
-            d.fall *= delta.uniform_scale;
-        }
-    }
     for (const DelayDelta::GateScale& s : delta.scales) {
         scale_gate(s.gate, s.factor);
     }

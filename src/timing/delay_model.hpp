@@ -78,10 +78,10 @@ public:
     /// Scales every arc of `gate` by `factor` (aging degradation).
     void scale_gate(GateId gate, double factor);
 
-    /// Applies a composable mutation in place: the delta's uniform
-    /// scale, then its per-gate scales, then its additive extras, each
-    /// in entry order (the order the bit-identity contract of the
-    /// incremental StaEngine is defined against).
+    /// Applies a composable mutation in place: the delta's per-gate
+    /// scales, then its additive extras, each in entry order (the
+    /// order the bit-identity contract of StaEngine::update is defined
+    /// against).
     DelayAnnotation& transform(const DelayDelta& delta);
 
     /// Copying variant of transform() for callers that keep the base.

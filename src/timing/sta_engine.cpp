@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -16,15 +15,6 @@ namespace {
 // CancelledError; the flow records the phase as skipped.  Polling at a
 // stride keeps even the relaxed load off the per-gate path.
 constexpr std::size_t kCancelStride = 4096;
-
-// Exactly representable power of two?  Multiplying every delay by 2^k
-// commutes with FP rounding, so a pure uniform scale by such a factor
-// can rescale the cached result arrays instead of re-propagating.
-bool is_power_of_two(double v) {
-    if (!(v > 0.0) || !std::isfinite(v)) return false;
-    int exp = 0;
-    return std::frexp(v, &exp) == 0.5;
-}
 
 }  // namespace
 
@@ -56,9 +46,6 @@ StaEngine::StaEngine(const Netlist& netlist, const DelayAnnotation& base,
             fanin_flat_[offset_[id] + pin] = g.fanin[pin];
         }
     }
-    touch_stamp_.assign(n, 0);
-    fwd_stamp_.assign(n, 0);
-    back_stamp_.assign(n, 0);
     result_.max_arrival.assign(n, 0.0);
     result_.min_arrival.assign(n, 0.0);
     result_.downstream.assign(n, 0.0);
@@ -79,18 +66,6 @@ StaEngine::StaEngine(StaEngine&& other) noexcept
       base_min_(std::move(other.base_min_)),
       cur_max_(std::move(other.cur_max_)),
       cur_min_(std::move(other.cur_min_)),
-      cur_uniform_(other.cur_uniform_),
-      dirty_gates_(std::move(other.dirty_gates_)),
-      touch_stamp_(std::move(other.touch_stamp_)),
-      touch_epoch_(other.touch_epoch_),
-      fwd_stamp_(std::move(other.fwd_stamp_)),
-      fwd_epoch_(other.fwd_epoch_),
-      back_stamp_(std::move(other.back_stamp_)),
-      back_epoch_(other.back_epoch_),
-      scratch_touched_(std::move(other.scratch_touched_)),
-      scratch_old_(std::move(other.scratch_old_)),
-      scratch_seeds_(std::move(other.scratch_seeds_)),
-      scratch_dirty_(std::move(other.scratch_dirty_)),
       result_(std::move(other.result_)),
       valid_(std::exchange(other.valid_, false)),
       stats_(other.stats_),
@@ -110,18 +85,6 @@ StaEngine& StaEngine::operator=(StaEngine&& other) noexcept {
     base_min_ = std::move(other.base_min_);
     cur_max_ = std::move(other.cur_max_);
     cur_min_ = std::move(other.cur_min_);
-    cur_uniform_ = other.cur_uniform_;
-    dirty_gates_ = std::move(other.dirty_gates_);
-    touch_stamp_ = std::move(other.touch_stamp_);
-    touch_epoch_ = other.touch_epoch_;
-    fwd_stamp_ = std::move(other.fwd_stamp_);
-    fwd_epoch_ = other.fwd_epoch_;
-    back_stamp_ = std::move(other.back_stamp_);
-    back_epoch_ = other.back_epoch_;
-    scratch_touched_ = std::move(other.scratch_touched_);
-    scratch_old_ = std::move(other.scratch_old_);
-    scratch_seeds_ = std::move(other.scratch_seeds_);
-    scratch_dirty_ = std::move(other.scratch_dirty_);
     result_ = std::move(other.result_);
     valid_ = std::exchange(other.valid_, false);
     stats_ = other.stats_;
@@ -141,8 +104,6 @@ void StaEngine::load_base(const DelayAnnotation& base) {
             base_min_[start + pin] = std::min(d.rise, d.fall);
         }
     }
-    cur_uniform_ = 1.0;
-    dirty_gates_.clear();
     valid_ = false;
 }
 
@@ -151,69 +112,9 @@ void StaEngine::rebase(const DelayAnnotation& base) {
     ++stats_.rebases;
 }
 
-void StaEngine::reset_gate_arcs(GateId id) {
-    const std::uint32_t begin = offset_[id];
-    const std::uint32_t end = offset_[id + 1];
-    for (std::uint32_t i = begin; i < end; ++i) {
-        cur_max_[i] = base_max_[i];
-        cur_min_[i] = base_min_[i];
-    }
-}
-
-void StaEngine::apply_delta(const DelayDelta& delta,
-                            std::vector<GateId>* seeds) {
-    const std::size_t num_arcs = offset_[netlist_->size()];
-    const bool dense = seeds == nullptr;
-
-    // The gates the new delta touches become the new dirty set.
-    // Duplicates (a gate in several entries) are fine: the sparse
-    // path's epoch stamps dedupe, and the dense-tier heuristic only
-    // overcounts conservatively.
-    scratch_dirty_.clear();
-    for (const DelayDelta::GateScale& s : delta.scales) {
-        scratch_dirty_.push_back(s.gate);
-    }
-    for (const DelayDelta::ArcExtra& e : delta.extras) {
-        scratch_dirty_.push_back(e.gate);
-    }
-
-    if (dense) {
-        // Wholesale rebuild; the caller re-runs full passes, so no
-        // snapshot or change detection is needed.
-        if (delta.uniform_scale != 1.0) {
-            for (std::size_t i = 0; i < num_arcs; ++i) {
-                cur_max_[i] = base_max_[i] * delta.uniform_scale;
-                cur_min_[i] = base_min_[i] * delta.uniform_scale;
-            }
-        } else {
-            std::copy(base_max_.begin(), base_max_.end(), cur_max_.begin());
-            std::copy(base_min_.begin(), base_min_.end(), cur_min_.begin());
-        }
-    } else {
-        // Sparse path: touched = new dirty gates plus the previously
-        // dirty gates that must revert to base.
-        ++touch_epoch_;
-        scratch_touched_.clear();
-        const auto touch = [&](GateId g) {
-            if (touch_stamp_[g] != touch_epoch_) {
-                touch_stamp_[g] = touch_epoch_;
-                scratch_touched_.push_back(g);
-            }
-        };
-        for (GateId g : scratch_dirty_) touch(g);
-        for (GateId g : dirty_gates_) touch(g);
-        // Snapshot the touched gates' arcs (aligned with the iteration
-        // order of scratch_touched_) for bitwise change detection.
-        scratch_old_.clear();
-        for (GateId g : scratch_touched_) {
-            for (std::uint32_t i = offset_[g]; i < offset_[g + 1]; ++i) {
-                scratch_old_.push_back(cur_max_[i]);
-                scratch_old_.push_back(cur_min_[i]);
-            }
-        }
-        for (GateId g : scratch_touched_) reset_gate_arcs(g);
-    }
-
+void StaEngine::apply_delta(const DelayDelta& delta) {
+    std::copy(base_max_.begin(), base_max_.end(), cur_max_.begin());
+    std::copy(base_min_.begin(), base_min_.end(), cur_min_.begin());
     // Entry-order application.  Entries of distinct gates are
     // independent, so per-entry processing preserves the order that
     // matters (multiple entries on one gate).
@@ -236,25 +137,6 @@ void StaEngine::apply_delta(const DelayDelta& delta,
             cur_min_[i] += e.extra;
         }
     }
-
-    if (seeds) {
-        seeds->clear();
-        std::size_t cursor = 0;
-        for (GateId g : scratch_touched_) {
-            bool changed = false;
-            for (std::uint32_t i = offset_[g]; i < offset_[g + 1]; ++i) {
-                if (cur_max_[i] != scratch_old_[cursor] ||
-                    cur_min_[i] != scratch_old_[cursor + 1]) {
-                    changed = true;
-                }
-                cursor += 2;
-            }
-            if (changed) seeds->push_back(g);
-        }
-    }
-
-    cur_uniform_ = delta.uniform_scale;
-    dirty_gates_.swap(scratch_dirty_);
 }
 
 void StaEngine::poll_cancel() {
@@ -333,91 +215,6 @@ void StaEngine::full_backward() {
     }
 }
 
-void StaEngine::incremental_forward(const std::vector<GateId>& seeds) {
-    if (seeds.empty()) return;
-    ++fwd_epoch_;
-    const auto topo = netlist_->topo_order();
-    std::uint32_t min_rank = std::numeric_limits<std::uint32_t>::max();
-    for (GateId g : seeds) {
-        fwd_stamp_[g] = fwd_epoch_;
-        min_rank = std::min(min_rank, netlist_->topo_rank(g));
-    }
-    for (std::size_t i = min_rank; i < topo.size(); ++i) {
-        const GateId id = topo[i];
-        if (fwd_stamp_[id] != fwd_epoch_) continue;
-        poll_cancel();
-        const Gate& g = netlist_->gate(id);
-        Time amax = 0.0;
-        Time amin = 0.0;
-        if (g.type != CellType::Input && g.type != CellType::Dff) {
-            Time lo = std::numeric_limits<Time>::max();
-            const std::uint32_t start = offset_[id];
-            for (std::uint32_t pin = 0; pin < g.fanin.size(); ++pin) {
-                const GateId f = g.fanin[pin];
-                amax = std::max(amax,
-                                result_.max_arrival[f] + cur_max_[start + pin]);
-                lo = std::min(lo, result_.min_arrival[f] + cur_min_[start + pin]);
-            }
-            amin = lo == std::numeric_limits<Time>::max() ? 0.0 : lo;
-        }
-        if (amax != result_.max_arrival[id] || amin != result_.min_arrival[id]) {
-            result_.max_arrival[id] = amax;
-            result_.min_arrival[id] = amin;
-            ++stats_.nodes_repropagated;
-            for (GateId out : g.fanout) fwd_stamp_[out] = fwd_epoch_;
-        } else {
-            ++stats_.nodes_pruned;
-        }
-    }
-}
-
-void StaEngine::incremental_backward(const std::vector<GateId>& seeds) {
-    if (seeds.empty()) return;
-    ++back_epoch_;
-    const auto topo = netlist_->topo_order();
-    // downstream[f] depends on the arcs *into* each changed gate, so the
-    // fanins of the seeds are where re-evaluation starts.
-    std::int64_t max_rank = -1;
-    for (GateId g : seeds) {
-        for (GateId f : netlist_->gate(g).fanin) {
-            back_stamp_[f] = back_epoch_;
-            max_rank = std::max(
-                max_rank, static_cast<std::int64_t>(netlist_->topo_rank(f)));
-        }
-    }
-    for (std::int64_t i = max_rank; i >= 0; --i) {
-        const GateId id = topo[static_cast<std::size_t>(i)];
-        if (back_stamp_[id] != back_epoch_) continue;
-        poll_cancel();
-        const Gate& g = netlist_->gate(id);
-        Time best = std::numeric_limits<Time>::lowest();
-        bool observed = false;
-        for (GateId out : g.fanout) {
-            const Gate& og = netlist_->gate(out);
-            if (og.type == CellType::Output || og.type == CellType::Dff) {
-                best = std::max(best, 0.0);
-                observed = true;
-                continue;
-            }
-            const std::uint32_t start = offset_[out];
-            for (std::uint32_t pin = 0; pin < og.fanin.size(); ++pin) {
-                if (og.fanin[pin] != id) continue;
-                best = std::max(best,
-                                cur_max_[start + pin] + result_.downstream[out]);
-                observed = true;
-            }
-        }
-        const Time next = observed ? best : 0.0;
-        if (next != result_.downstream[id]) {
-            result_.downstream[id] = next;
-            ++stats_.nodes_repropagated;
-            for (GateId f : g.fanin) back_stamp_[f] = back_epoch_;
-        } else {
-            ++stats_.nodes_pruned;
-        }
-    }
-}
-
 void StaEngine::refresh_path_through() {
     const std::size_t n = netlist_->size();
     result_.path_through.resize(n);
@@ -437,103 +234,29 @@ void StaEngine::refresh_clock() {
 }
 
 const StaResult& StaEngine::analyze() {
+    valid_ = false;  // counted as a full pass
+    return update(DelayDelta{});
+}
+
+const StaResult& StaEngine::update(const DelayDelta& delta) {
+    // Every update is a whole-circuit pass: the campaign's aging delta
+    // scales every combinational gate every year, so there is no cone
+    // to restrict re-propagation to.
+    const bool full = !valid_;
     valid_ = false;
-    poll_counter_ = 0;
-    std::copy(base_max_.begin(), base_max_.end(), cur_max_.begin());
-    std::copy(base_min_.begin(), base_min_.end(), cur_min_.begin());
-    cur_uniform_ = 1.0;
-    dirty_gates_.clear();
+    if (full) poll_counter_ = 0;
+    apply_delta(delta);
     full_forward();
     if (scope_ == Scope::Full) {
         full_backward();
         refresh_path_through();
     } else {
-        result_.downstream.assign(netlist_->size(), 0.0);
-        result_.path_through.assign(netlist_->size(), 0.0);
+        // No-ops unless take_result() emptied the arenas.
+        result_.downstream.resize(netlist_->size());
+        result_.path_through.resize(netlist_->size());
     }
     refresh_clock();
-    ++stats_.full_passes;
-    valid_ = true;
-    return result_;
-}
-
-const StaResult& StaEngine::update(const DelayDelta& delta) {
-    // Tier 1: pure uniform rescale of an unperturbed valid engine —
-    // O(1) cached return, or an exact O(n) array rescale when both
-    // factors are powers of two (2^k multiplication commutes with FP
-    // rounding, so the rescaled results match a from-scratch pass
-    // bit-for-bit).
-    if (valid_ && delta.scales.empty() && delta.extras.empty() &&
-        dirty_gates_.empty()) {
-        if (delta.uniform_scale == cur_uniform_) {
-            ++stats_.scaled_updates;
-            return result_;
-        }
-        if (is_power_of_two(delta.uniform_scale) &&
-            is_power_of_two(cur_uniform_)) {
-            const double ratio = delta.uniform_scale / cur_uniform_;
-            for (Time& v : cur_max_) v *= ratio;
-            for (Time& v : cur_min_) v *= ratio;
-            for (Time& v : result_.max_arrival) v *= ratio;
-            for (Time& v : result_.min_arrival) v *= ratio;
-            if (scope_ == Scope::Full) {
-                for (Time& v : result_.downstream) v *= ratio;
-                for (Time& v : result_.path_through) v *= ratio;
-            }
-            result_.critical_path_length *= ratio;
-            result_.clock_period = margin_ * result_.critical_path_length;
-            cur_uniform_ = delta.uniform_scale;
-            ++stats_.scaled_updates;
-            return result_;
-        }
-    }
-
-    // Tier 2: dense rebuild.  Taken on the first pass / recovery, when
-    // a uniform factor is involved (it touches every arc anyway), or
-    // when the delta plus the reverting dirty set covers most of the
-    // netlist (the campaign's aging delta scales every combinational
-    // gate every year) — there the sparse machinery (snapshots, seed
-    // detection, stamps) costs more than it prunes.  Plain full passes
-    // over the rebuilt arc arrays: same formulas in the same order, so
-    // still bit-identical to the from-scratch reference.
-    const std::size_t touched =
-        delta.scales.size() + delta.extras.size() + dirty_gates_.size();
-    const bool uniform_involved =
-        delta.uniform_scale != 1.0 || cur_uniform_ != 1.0;
-    if (!valid_ || uniform_involved || 2 * touched >= netlist_->size()) {
-        const bool recovery = !valid_;
-        valid_ = false;
-        if (recovery) poll_counter_ = 0;
-        apply_delta(delta, nullptr);
-        full_forward();
-        if (scope_ == Scope::Full) {
-            full_backward();
-            refresh_path_through();
-        } else {
-            // No-ops unless take_result() emptied the arenas.
-            result_.downstream.resize(netlist_->size());
-            result_.path_through.resize(netlist_->size());
-        }
-        refresh_clock();
-        if (recovery) {
-            ++stats_.full_passes;
-        } else {
-            ++stats_.dense_updates;
-        }
-        valid_ = true;
-        return result_;
-    }
-
-    // Tier 3: sparse cone re-propagation from the bitwise-changed arcs.
-    valid_ = false;
-    apply_delta(delta, &scratch_seeds_);
-    incremental_forward(scratch_seeds_);
-    if (scope_ == Scope::Full) {
-        incremental_backward(scratch_seeds_);
-        if (!scratch_seeds_.empty()) refresh_path_through();
-    }
-    refresh_clock();
-    ++stats_.incremental_updates;
+    ++(full ? stats_.full_passes : stats_.dense_updates);
     valid_ = true;
     return result_;
 }

@@ -1,27 +1,22 @@
-// Incremental static timing analysis.
+// Reusable static timing analysis engine.
 //
 // StaEngine replaces the free-function run_sta + throwaway-annotation
-// pattern for workloads that evaluate many small perturbations of one
-// base annotation (the lifetime campaign: N devices x Y years, each
-// year only nudging aging factors and a handful of defect arcs).  The
+// pattern for workloads that evaluate many perturbations of one base
+// annotation (the lifetime campaign: N devices x Y years, each year
+// re-scaling every combinational gate by its aging factor).  The
 // engine owns the flattened arc-delay arrays and the arrival /
 // downstream result arenas, and exposes
 //
-//   analyze()       full from-scratch pass over the base annotation,
-//   update(delta)   re-propagation restricted to the fanout cones of
-//                   the arcs `delta` actually changes (bitwise change
-//                   detection prunes cones early), and
+//   analyze()       full pass over the unmodified base annotation,
+//   update(delta)   the delta applied over the flattened base arcs,
+//                   then the same full pass, and
 //   rebase(base)    cheap retargeting to another device's annotation
 //                   without reallocating the arenas.
 //
 // Bit-identity contract: update(delta) produces exactly the result of
-// transforming the base annotation with `delta` and running the classic
-// full pass — same arithmetic, same operation order, so equal bit
-// patterns.  A delta that is a pure power-of-two uniform scale is
-// applied as an O(n) exact rescale of the cached results without any
-// re-propagation (multiplication by 2^k commutes with FP rounding);
-// other uniform factors fall back to cone re-propagation seeded at
-// every changed gate.
+// transforming the base annotation with `delta` and running analyze()
+// on it — same arithmetic, same operation order, so equal bit
+// patterns.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +38,11 @@ public:
     enum class Scope : std::uint8_t { Arrivals, Full };
 
     struct Stats {
+        /// analyze() calls plus the first update() after construction,
+        /// rebase(), take_result() or a cancelled pass.
         std::uint64_t full_passes = 0;
-        std::uint64_t incremental_updates = 0;
-        std::uint64_t dense_updates = 0;    ///< delta touched most gates
-        std::uint64_t scaled_updates = 0;   ///< O(n) exact rescales
+        std::uint64_t dense_updates = 0;  ///< every other update()
         std::uint64_t rebases = 0;
-        std::uint64_t nodes_repropagated = 0;
-        std::uint64_t nodes_pruned = 0;     ///< cone cut by bitwise equality
     };
 
     /// `base` must outlive the engine (or be replaced via rebase()).
@@ -67,8 +60,7 @@ public:
     StaEngine& operator=(StaEngine&& other) noexcept;
 
     /// Retargets the engine to another annotation of the *same* netlist,
-    /// reusing every internal arena.  Invalidates the cached result; the
-    /// next analyze()/update() runs a full pass.
+    /// reusing every internal arena.  Invalidates the cached result.
     void rebase(const DelayAnnotation& base);
 
     /// Full from-scratch pass over the unmodified base annotation.
@@ -100,18 +92,11 @@ public:
 
 private:
     void load_base(const DelayAnnotation& base);
-    void reset_gate_arcs(GateId id);
-    /// Applies `delta` on top of the base arrays.  When `seeds` is
-    /// non-null the sparse path runs: only touched gates are rebuilt
-    /// and the ones whose arc delays bitwise changed are appended.
-    /// When null the rebuild is dense and unconditional (every arc
-    /// reset from base, then the delta applied) — the caller follows
-    /// up with full passes.
-    void apply_delta(const DelayDelta& delta, std::vector<GateId>* seeds);
+    /// Rebuilds the current arc arrays: base copy, then `delta` in its
+    /// application order.
+    void apply_delta(const DelayDelta& delta);
     void full_forward();
     void full_backward();
-    void incremental_forward(const std::vector<GateId>& seeds);
-    void incremental_backward(const std::vector<GateId>& seeds);
     void refresh_path_through();
     void refresh_clock();
     void poll_cancel();
@@ -132,20 +117,6 @@ private:
     std::vector<GateId> fanin_flat_;     ///< arc-aligned driver ids
     std::vector<Time> base_max_, base_min_;  ///< per arc: max/min(rise, fall)
     std::vector<Time> cur_max_, cur_min_;    ///< base transformed by the delta
-    double cur_uniform_ = 1.0;               ///< uniform factor currently applied
-    std::vector<GateId> dirty_gates_;        ///< gates touched by the last delta
-
-    /// Epoch-stamped scratch marks (no per-update clearing).
-    std::vector<std::uint32_t> touch_stamp_;
-    std::uint32_t touch_epoch_ = 0;
-    std::vector<std::uint32_t> fwd_stamp_;
-    std::uint32_t fwd_epoch_ = 0;
-    std::vector<std::uint32_t> back_stamp_;
-    std::uint32_t back_epoch_ = 0;
-    std::vector<GateId> scratch_touched_;
-    std::vector<Time> scratch_old_;
-    std::vector<GateId> scratch_seeds_;
-    std::vector<GateId> scratch_dirty_;
 
     StaResult result_;
     bool valid_ = false;

@@ -3,9 +3,9 @@
 // evaluating the same device bit-for-bit (EXPECT_EQ on doubles, no
 // tolerance — the per-lane operation order is the scalar order, so the
 // documented <= 4 ulp contract is headroom, not slack).  Covers lane
-// loading from variation factors, dense per-lane deltas, the per-lane
-// pow2 rescale tier, lane retirement/reload, and the BatchRollout
-// device path against roll_device (including ragged batches).
+// loading from variation factors, dense per-lane deltas, lane
+// retirement/reload, and the BatchRollout device path against
+// roll_device (including ragged batches).
 #include "timing/batch_sta_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -84,8 +84,6 @@ struct BatchFixture : ::testing::Test {
         for (GateId id = 0; id < nl.size(); ++id) {
             EXPECT_EQ(batch.max_arrival(id, lane), want.max_arrival[id])
                 << "lane " << lane << " gate " << id;
-            EXPECT_EQ(batch.min_arrival(id, lane), want.min_arrival[id])
-                << "lane " << lane << " gate " << id;
         }
         EXPECT_EQ(batch.critical_path_length(lane),
                   want.critical_path_length);
@@ -116,46 +114,6 @@ TEST_F(BatchFixture, LanesMatchScalarEnginesBitwise) {
     }
     EXPECT_EQ(batch.stats().batch_passes, 5u);
     EXPECT_EQ(batch.stats().lane_loads, kBatchWidth);
-}
-
-TEST_F(BatchFixture, Pow2RescaleTierIsExactPerLane) {
-    BatchStaEngine batch(nl, nominal);
-    std::vector<ScalarLane> scalars;
-    for (std::size_t l = 0; l < kBatchWidth; ++l) {
-        const std::uint64_t seed = 300 + l;
-        load_device_lane(batch, l, seed);
-        scalars.push_back(make_scalar(seed));
-    }
-    // Establish a pure-uniform state (empty deltas -> dense pass).
-    std::vector<DelayDelta> deltas(kBatchWidth);
-    BatchDelayDelta bd;
-    for (std::size_t l = 0; l < kBatchWidth; ++l) bd.set(l, &deltas[l]);
-    batch.update(bd);
-    const auto passes_before = batch.stats().batch_passes;
-
-    // Per-lane power-of-two factors (different per lane, including an
-    // unchanged one): must hit the rescale tier, no new forward pass,
-    // and stay bit-identical to the scalar engines' own tier.
-    for (std::size_t l = 0; l < kBatchWidth; ++l) {
-        deltas[l].uniform_scale = l % 3 == 0 ? 2.0 : l % 3 == 1 ? 0.5 : 1.0;
-    }
-    batch.update(bd);
-    EXPECT_EQ(batch.stats().batch_passes, passes_before);
-    EXPECT_GE(batch.stats().scaled_updates, 1u);
-    for (std::size_t l = 0; l < kBatchWidth; ++l) {
-        scalars[l].engine->analyze();
-        expect_lane_matches(batch, l,
-                            scalars[l].engine->update(deltas[l]));
-    }
-
-    // A non-pow2 factor on any lane forces the dense path — still
-    // bit-identical (x * 1.3 recomputed from base, not rescaled).
-    deltas[0].uniform_scale = 1.3;
-    batch.update(bd);
-    EXPECT_EQ(batch.stats().batch_passes, passes_before + 1);
-    for (std::size_t l = 0; l < kBatchWidth; ++l) {
-        expect_lane_matches(batch, l, scalars[l].engine->update(deltas[l]));
-    }
 }
 
 TEST_F(BatchFixture, RetiredLaneDoesNotDrainTheBatch) {

@@ -198,30 +198,28 @@ TEST_F(CampaignFixture, BadGridFailsPrepareButReturnsHonestStatus) {
 }
 
 TEST_F(CampaignFixture, FullStaMatchesIncremental) {
-    // The differential contract the bench and CI also enforce: the
-    // legacy from-scratch STA mode reproduces the incremental engine's
+    // Scalar-engine sharding: two workers, each reusing one StaEngine
+    // across its device shard, reproduce the serial scalar reference's
     // outcomes and deterministic report blocks bit-for-bit.
-    CampaignConfig incremental = small_config();
-    CampaignConfig full = small_config();
-    full.full_sta = true;
-    full.num_threads = 2;  // sharded engines vs serial full rebuilds
+    CampaignConfig serial = small_config();
+    serial.batch_width = 1;
+    CampaignConfig sharded = serial;
+    sharded.num_threads = 2;
 
-    const CampaignResult a = run_campaign(nl, incremental);
-    const CampaignResult b = run_campaign(nl, full);
+    const CampaignResult a = run_campaign(nl, serial);
+    const CampaignResult b = run_campaign(nl, sharded);
     EXPECT_EQ(a.outcomes, b.outcomes);
-    const Json ja = a.to_json(incremental);
-    const Json jb = b.to_json(full);
+    const Json ja = a.to_json(serial);
+    const Json jb = b.to_json(sharded);
     for (const char* block : {"campaign", "aggregate"}) {
         ASSERT_NE(ja.find(block), nullptr);
         ASSERT_NE(jb.find(block), nullptr);
         EXPECT_EQ(ja.find(block)->dump(2), jb.find(block)->dump(2));
     }
-    // The mode is surfaced in the non-deterministic "run" block only.
+    // The engine is surfaced in the non-deterministic "run" block only.
     ASSERT_NE(jb.find("run"), nullptr);
     ASSERT_NE(jb.find("run")->find("sta_mode"), nullptr);
-    EXPECT_EQ(jb.find("run")->find("sta_mode")->as_string(), "full_rebuild");
-    EXPECT_EQ(ja.find("run")->find("sta_mode")->as_string(),
-              kBatchWidth > 1 ? "batched" : "incremental");
+    EXPECT_EQ(jb.find("run")->find("sta_mode")->as_string(), "incremental");
 }
 
 TEST_F(CampaignFixture, BatchedMatchesScalarAcrossWidthsBitwise) {

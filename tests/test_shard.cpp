@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "campaign/campaign.hpp"
 #include "campaign/checkpoint.hpp"
@@ -54,13 +55,20 @@ protected:
     }
 
     /// Flips one digit of the payload half of the file at `p`.
+    // Increments the leading digit of a number in the second half of
+    // the file.  A trailing digit of a 17-significant-digit double may
+    // parse back to the same value, which the checksum (computed over
+    // the re-serialized values) rightly accepts; a leading digit always
+    // changes the value.
     static void flip_digit(const std::string& p) {
         std::ifstream is(p, std::ios::binary);
         std::string text((std::istreambuf_iterator<char>(is)),
                          std::istreambuf_iterator<char>());
         is.close();
+        const std::string_view number_chars = "0123456789.+-eE";
         for (std::size_t i = text.size() / 2; i < text.size(); ++i) {
-            if (text[i] >= '0' && text[i] <= '8') {
+            if (text[i] >= '0' && text[i] <= '8' &&
+                number_chars.find(text[i - 1]) == std::string_view::npos) {
                 ++text[i];
                 break;
             }

@@ -1,16 +1,16 @@
-// Differential tests for the incremental StaEngine: every update(delta)
-// must be bit-for-bit identical (EXPECT_EQ on doubles, no tolerance) to
-// transforming the base annotation from scratch and running a full
-// pass, across sparse defect extras, dense aging scales, uniform
-// factors (power-of-two fast path and the general fallback), delta
-// reverts, and rebases.  The LifetimeSimulator section checks the
-// monitor-augmented outputs: Incremental and FullRebuild modes yield
-// equal LifetimePoints.
+// Differential tests for StaEngine: every update(delta) must be
+// bit-for-bit identical (EXPECT_EQ on doubles, no tolerance) to
+// transforming the base annotation and running analyze() on a fresh
+// engine, across defect extras, dense aging scales, delta reverts,
+// rebases and a seeded property sweep over generated circuits.  The
+// LifetimeSimulator section checks the monitor-augmented outputs:
+// evaluate() equals the guard-band check on a from-scratch pass over
+// degraded(years).
 #include "timing/sta_engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -19,6 +19,7 @@
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
 #include "util/prng.hpp"
+#include "wearout/wearout.hpp"
 
 namespace fastmon {
 namespace {
@@ -38,24 +39,27 @@ void expect_bitwise_equal(const StaResult& got, const StaResult& want) {
 }
 
 StaResult reference_sta(const Netlist& nl, const DelayAnnotation& base,
-                        const DelayDelta& delta, double margin = 1.05) {
+                        const DelayDelta& delta, double margin = 1.05,
+                        StaEngine::Scope scope = StaEngine::Scope::Full) {
     const DelayAnnotation degraded = base.transformed(delta);
-    StaEngine fresh(nl, degraded, margin);
+    StaEngine fresh(nl, degraded, margin, scope);
     fresh.analyze();
     return fresh.take_result();
+}
+
+std::vector<GateId> combinational_gates(const Netlist& nl) {
+    std::vector<GateId> ids;
+    for (GateId id = 0; id < nl.size(); ++id) {
+        if (is_combinational(nl.gate(id).type)) ids.push_back(id);
+    }
+    return ids;
 }
 
 struct EngineFixture : ::testing::Test {
     Netlist nl = generate_circuit(
         GeneratorConfig{"engine_diff", 300, 24, 8, 8, 10, 0.55, 77});
     DelayAnnotation base = DelayAnnotation::with_variation(nl, 0.08, 5);
-    std::vector<GateId> comb = [this] {
-        std::vector<GateId> ids;
-        for (GateId id = 0; id < nl.size(); ++id) {
-            if (is_combinational(nl.gate(id).type)) ids.push_back(id);
-        }
-        return ids;
-    }();
+    std::vector<GateId> comb = combinational_gates(nl);
 };
 
 TEST_F(EngineFixture, AnalyzeMatchesFullScopeFromScratch) {
@@ -91,9 +95,6 @@ TEST_F(EngineFixture, SparseDefectExtrasMatchFromScratch) {
         expect_bitwise_equal(engine.update(delta),
                              reference_sta(nl, base, delta));
     }
-    EXPECT_GT(engine.stats().incremental_updates, 0u);
-    EXPECT_GT(engine.stats().nodes_pruned + engine.stats().nodes_repropagated,
-              0u);
 }
 
 TEST_F(EngineFixture, DenseAgingScalesMatchFromScratch) {
@@ -121,35 +122,12 @@ TEST_F(EngineFixture, MixedScaleAndExtraOrderIsPreserved) {
     expect_bitwise_equal(engine.update(delta), reference_sta(nl, base, delta));
 }
 
-TEST_F(EngineFixture, PowerOfTwoUniformScaleUsesExactRescale) {
-    StaEngine engine(nl, base);
-    engine.analyze();
-    for (const double factor : {2.0, 0.5, 4.0, 1.0, 0.25}) {
-        DelayDelta delta;
-        delta.uniform_scale = factor;
-        expect_bitwise_equal(engine.update(delta),
-                             reference_sta(nl, base, delta));
-    }
-    // All five applied through the O(n) rescale path, no repropagation.
-    EXPECT_GE(engine.stats().scaled_updates, 4u);
-    EXPECT_EQ(engine.stats().nodes_repropagated, 0u);
-}
-
-TEST_F(EngineFixture, NonPowerOfTwoUniformScaleFallsBack) {
-    StaEngine engine(nl, base);
-    for (const double factor : {1.1, 0.93, 3.0}) {
-        DelayDelta delta;
-        delta.uniform_scale = factor;
-        expect_bitwise_equal(engine.update(delta),
-                             reference_sta(nl, base, delta));
-    }
-    EXPECT_EQ(engine.stats().scaled_updates, 0u);
-}
-
 TEST_F(EngineFixture, UniformScaleComposesWithPerGateEntries) {
+    // A uniform factor is one scale entry per combinational gate; a
+    // second entry on the same gate multiplies on top of it.
     StaEngine engine(nl, base);
     DelayDelta delta;
-    delta.uniform_scale = 1.07;
+    for (const GateId g : comb) delta.scale(g, 1.07);
     delta.scale(comb.front(), 1.5);
     delta.add(comb.back(), DelayDelta::kAllPins, 3.0);
     expect_bitwise_equal(engine.update(delta), reference_sta(nl, base, delta));
@@ -177,12 +155,9 @@ TEST_F(EngineFixture, DeltasAreAbsoluteNotCumulative) {
 TEST_F(EngineFixture, EmptyDeltaOnValidEngineIsCached) {
     StaEngine engine(nl, base);
     engine.analyze();
-    const std::uint64_t full_before = engine.stats().full_passes;
     DelayDelta empty;
     expect_bitwise_equal(engine.update(empty),
                          reference_sta(nl, base, empty));
-    EXPECT_EQ(engine.stats().full_passes, full_before);
-    EXPECT_EQ(engine.stats().nodes_repropagated, 0u);
 }
 
 TEST_F(EngineFixture, RebaseRetargetsWithoutReallocation) {
@@ -266,13 +241,79 @@ TEST(StaEngineS27, ClockMarginFlowsThroughUpdates) {
     const DelayAnnotation base = DelayAnnotation::nominal(nl);
     StaEngine engine(nl, base, 1.6);
     DelayDelta delta;
-    delta.uniform_scale = 1.25;
+    for (const GateId g : combinational_gates(nl)) delta.scale(g, 1.25);
     const StaResult& got = engine.update(delta);
     expect_bitwise_equal(got, reference_sta(nl, base, delta, 1.6));
     EXPECT_EQ(got.clock_period, 1.6 * got.critical_path_length);
 }
 
-// --- Monitor-augmented differential: LifetimeSimulator modes --------
+// --- Seeded property sweep over generated circuits ------------------
+
+/// Random delta over `comb`: a random gate subset in shuffled order
+/// (entries need not be ascending), repeated entries on one gate, and
+/// per-pin plus all-pins extras.
+DelayDelta random_delta(const Netlist& nl, const std::vector<GateId>& comb,
+                        Prng& rng) {
+    DelayDelta delta;
+    const std::size_t num_scales = rng.next_below(comb.size() + 1);
+    for (std::size_t k = 0; k < num_scales; ++k) {
+        const GateId g = comb[rng.next_below(comb.size())];
+        delta.scale(g, rng.uniform(0.7, 1.6));
+        if (rng.next_below(8) == 0) delta.scale(g, rng.uniform(0.9, 1.2));
+    }
+    const std::size_t num_extras = rng.next_below(6);
+    for (std::size_t k = 0; k < num_extras; ++k) {
+        const GateId g = comb[rng.next_below(comb.size())];
+        const auto fanin = static_cast<std::uint32_t>(nl.gate(g).fanin.size());
+        const std::uint32_t pin =
+            fanin == 0 || rng.next_below(2) == 0
+                ? DelayDelta::kAllPins
+                : static_cast<std::uint32_t>(rng.next_below(fanin));
+        delta.add(g, pin, rng.uniform(0.1, 30.0));
+        if (rng.next_below(4) == 0) delta.add(g, pin, rng.uniform(0.1, 5.0));
+    }
+    return delta;
+}
+
+TEST(StaEngineProperty, UpdateEqualsAnalyzeOnTransformedBase) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Prng rng = Prng::stream(seed, 0x57A9ULL);
+        GeneratorConfig cfg;
+        cfg.name = "sta_prop";
+        cfg.n_gates = 40 + rng.next_below(160);
+        cfg.n_ffs = 2 + rng.next_below(12);
+        cfg.n_inputs = 3 + rng.next_below(8);
+        cfg.n_outputs = 2 + rng.next_below(6);
+        cfg.depth = 4 + rng.next_below(10);
+        cfg.spread = rng.uniform(0.0, 1.0);
+        cfg.seed = seed;
+        const Netlist nl = generate_circuit(cfg);
+        const DelayAnnotation base =
+            DelayAnnotation::with_variation(nl, 0.1, seed);
+        const std::vector<GateId> comb = combinational_gates(nl);
+        ASSERT_FALSE(comb.empty());
+        const double margin = rng.uniform(1.0, 1.3);
+        for (const StaEngine::Scope scope :
+             {StaEngine::Scope::Full, StaEngine::Scope::Arrivals}) {
+            StaEngine engine(nl, base, margin, scope);
+            // Each delta is absolute: later deltas drop gates earlier
+            // ones touched, which must revert to base.
+            for (int step = 0; step < 6; ++step) {
+                SCOPED_TRACE(::testing::Message()
+                             << "seed " << seed << " step " << step
+                             << (scope == StaEngine::Scope::Full
+                                     ? " full"
+                                     : " arrivals"));
+                const DelayDelta delta = random_delta(nl, comb, rng);
+                expect_bitwise_equal(
+                    engine.update(delta),
+                    reference_sta(nl, base, delta, margin, scope));
+            }
+        }
+    }
+}
+
+// --- Monitor-augmented differential: LifetimeSimulator ---------------
 
 struct LifetimeDiffFixture : ::testing::Test {
     Netlist nl = make_mini_alu();
@@ -298,25 +339,59 @@ struct LifetimeDiffFixture : ::testing::Test {
     }
 };
 
-TEST_F(LifetimeDiffFixture, IncrementalEqualsFullRebuildPoints) {
+/// LifetimeSimulator::evaluate's guard-band check, recomputed from a
+/// from-scratch pass over the degraded annotation.
+LifetimePoint reference_point(const Netlist& nl,
+                              const DelayAnnotation& degraded, double years,
+                              Time clock_period,
+                              const MonitorPlacement& placement) {
+    StaEngine fresh(nl, degraded, 1.0, StaEngine::Scope::Full);
+    const StaResult& sta = fresh.analyze();
+    LifetimePoint p;
+    p.years = years;
+    const auto ops = nl.observe_points();
+    for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
+        const Time arrival = sta.max_arrival[ops[oi].signal];
+        p.worst_arrival = std::max(p.worst_arrival, arrival);
+        if (oi < placement.monitored.size() && placement.monitored[oi]) {
+            p.worst_monitored_arrival =
+                std::max(p.worst_monitored_arrival, arrival);
+        }
+    }
+    p.alerts.assign(placement.config_delays.size(), false);
+    for (std::size_t c = 1; c < placement.config_delays.size(); ++c) {
+        p.alerts[c] = p.worst_monitored_arrival >
+                      clock_period - placement.config_delays[c];
+    }
+    p.timing_failure = p.worst_arrival > clock_period;
+    return p;
+}
+
+TEST_F(LifetimeDiffFixture, EvaluateEqualsAnalyzeOnDegradedAnnotation) {
     std::vector<double> grid;
     for (double y = 0.0; y <= 12.0; y += 0.75) grid.push_back(y);
 
-    LifetimeSimulator inc(nl, base, sta.clock_period, aging, 3);
-    LifetimeSimulator full(nl, base, sta.clock_period, aging, 3);
-    inc.add_defect(make_defect());
-    full.add_defect(make_defect());
-    inc.set_sta_mode(LifetimeSimulator::StaMode::Incremental);
-    full.set_sta_mode(LifetimeSimulator::StaMode::FullRebuild);
-
-    const auto a = inc.sweep(grid, placement);
-    const auto b = full.sweep(grid, placement);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i], b[i]) << "grid point " << grid[i];
+    WearoutConfig cfg;
+    cfg.enabled = true;
+    cfg.mission = *find_mission_profile("server_247");
+    const WearoutModel wearout(nl, DelayAnnotation::nominal(nl), cfg);
+    for (const WearoutModel* model : {static_cast<const WearoutModel*>(nullptr),
+                                      &wearout}) {
+        LifetimeSimulator sim(nl, base, sta.clock_period, aging, 3, nullptr,
+                              model);
+        sim.add_defect(make_defect());
+        bool any_alert = false;
+        for (const double y : grid) {
+            const LifetimePoint got = sim.evaluate(y, placement);
+            EXPECT_EQ(got, reference_point(nl, sim.degraded(y), y,
+                                           sta.clock_period, placement))
+                << "year " << y << (model ? " wearout" : " legacy");
+            for (const bool alert : got.alerts) any_alert = any_alert || alert;
+        }
+        // The sweep reaches the guard bands, so the alert logic is
+        // exercised, not only the arrivals.
+        EXPECT_TRUE(any_alert) << (model ? "wearout" : "legacy");
     }
-    EXPECT_EQ(inc.first_alert_years(grid, placement),
-              full.first_alert_years(grid, placement));
 }
 
 TEST_F(LifetimeDiffFixture, SharedEngineIsRebasedPerDevice) {

@@ -479,9 +479,9 @@ TEST(WearoutCampaign, MissionWidthsAndFullStaAreBitIdentical) {
 
     CampaignConfig batched = scalar;
     batched.batch_width = 0;  // compiled width
-    CampaignConfig full = scalar;
-    full.full_sta = true;
-    for (const CampaignConfig* config : {&batched, &full}) {
+    CampaignConfig sharded = scalar;  // two scalar-engine workers
+    sharded.num_threads = 2;
+    for (const CampaignConfig* config : {&batched, &sharded}) {
         const CampaignResult result = run_campaign(nl, *config);
         EXPECT_EQ(result.outcomes, reference.outcomes);
         const Json j = result.to_json(*config);

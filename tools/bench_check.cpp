@@ -53,7 +53,7 @@ void print_usage() {
         "  --min-history <n>   entries required before the gate engages;\n"
         "                      fewer passes with a note (default 3)\n"
         "  --tolerance-speedup <f>  allowed fractional drop in\n"
-        "                      batch_speedup / sta_speedup (default 0.4)\n"
+        "                      batch_speedup (default 0.4)\n"
         "  --tolerance-dps <f> allowed fractional drop in\n"
         "                      devices_per_sec (default 0.6)\n"
         "\n"
@@ -89,7 +89,6 @@ struct DemoPerf {
     int batch_width = 0;
     double devices_per_sec = 0.0;
     double batch_speedup = 0.0;
-    double sta_speedup = 0.0;
     double demo_wall_seconds = 0.0;
 };
 
@@ -108,7 +107,6 @@ std::optional<DemoPerf> read_demo_perf(const std::string& artifact_path,
     perf.batch_width = static_cast<int>(num(demo, "batch_width", 0.0));
     perf.devices_per_sec = num(demo, "devices_per_sec", 0.0);
     perf.batch_speedup = num(demo, "batch_speedup", 0.0);
-    perf.sta_speedup = num(demo, "sta_speedup", 0.0);
     if (const Json* run = demo.find("run"); run != nullptr) {
         perf.demo_wall_seconds = num(*run, "total_wall_seconds", 0.0);
     }
@@ -243,7 +241,6 @@ int run_append(const Options& opt) {
     line.set("batch_width", static_cast<std::int64_t>(perf->batch_width));
     line.set("devices_per_sec", perf->devices_per_sec);
     line.set("batch_speedup", perf->batch_speedup);
-    line.set("sta_speedup", perf->sta_speedup);
     line.set("demo_wall_seconds", perf->demo_wall_seconds);
     std::ofstream out(opt.history, std::ios::app | std::ios::binary);
     if (!out || !(out << line.dump(0) << '\n')) {
@@ -313,7 +310,6 @@ int run_check(const Options& opt) {
     const Gate gates[] = {
         {"devices_per_sec", perf->devices_per_sec, opt.tolerance_dps},
         {"batch_speedup", perf->batch_speedup, opt.tolerance_speedup},
-        {"sta_speedup", perf->sta_speedup, opt.tolerance_speedup},
     };
     bool ok = true;
     for (const Gate& gate : gates) {

@@ -70,9 +70,6 @@ void print_usage() {
         "  --checkpoint <path>      resumable snapshot file\n"
         "  --checkpoint-every <n>   devices between snapshots (default 64)\n"
         "  --resume                 resume from --checkpoint if present\n"
-        "  --full-sta               legacy from-scratch STA per grid point\n"
-        "                           (reference for the incremental engine;\n"
-        "                           identical report blocks, slower)\n"
         "  --batch-width <n>        devices per batched STA pass (0 = auto\n"
         "                           from the compiled width, 1 = scalar\n"
         "                           reference engine; identical report\n"
@@ -170,8 +167,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             }
         } else if (strcmp(arg, "--resume") == 0) {
             opt.config.resume = true;
-        } else if (strcmp(arg, "--full-sta") == 0) {
-            opt.config.full_sta = true;
         } else if (strcmp(arg, "--quiet") == 0) {
             opt.quiet = true;
         } else if (strcmp(arg, "--progress") == 0) {
