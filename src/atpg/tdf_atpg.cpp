@@ -156,6 +156,12 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
                     confirms = true;
                 }
             }
+            if (!detected[fi]) {
+                ++result.num_unconfirmed;
+                log_warn() << "ATPG " << netlist.name() << ": "
+                           << engine->name() << " witness for fault " << fi
+                           << " does not detect it";
+            }
             if (confirms) result.test_set.patterns.push_back(std::move(p));
         }
     }
@@ -168,7 +174,7 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
         std::vector<PatternPair>& pats = result.test_set.patterns;
         std::reverse(pats.begin(), pats.end());
         const std::vector<std::size_t> first =
-            fault_simulate_tdf(netlist, faults, pats);
+            fault_simulate_tdf(sim, faults, pats);
         std::vector<bool> keep(pats.size(), false);
         for (std::size_t fd : first) {
             if (fd != SIZE_MAX) keep[fd] = true;
@@ -188,9 +194,11 @@ AtpgResult generate_tdf_tests(const Netlist& netlist,
     reg.counter("atpg.detected").add(result.num_detected);
     reg.counter("atpg.untestable").add(result.num_untestable);
     reg.counter("atpg.aborted").add(result.num_aborted);
+    reg.counter("atpg.unconfirmed_witnesses").add(result.num_unconfirmed);
     reg.counter("atpg.backtracks").add(total_backtracks);
     reg.counter("atpg.random_batches").add(random_batches);
     reg.counter("atpg.patterns").add(result.test_set.size());
+    reg.counter("atpg.tdf_gates_evaluated").add(sim.gates_evaluated());
 
     log_info() << "ATPG " << netlist.name() << ": " << result.num_detected
                << "/" << result.num_faults << " TDF detected ("

@@ -1,8 +1,9 @@
 #include "atpg/tfault_sim.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
-#include <unordered_map>
+#include <functional>
 
 namespace fastmon {
 
@@ -24,7 +25,17 @@ std::vector<TdfFault> enumerate_tdf_faults(const Netlist& netlist) {
 }
 
 TransitionFaultSim::TransitionFaultSim(const Netlist& netlist)
-    : netlist_(&netlist), logic_(netlist) {}
+    : netlist_(&netlist),
+      logic_(netlist),
+      observed_(netlist.size(), 0),
+      overlay_(netlist.size(), 0),
+      overlay_stamp_(netlist.size(), 0),
+      queued_stamp_(netlist.size(), 0) {
+    for (const ObservePoint& op : netlist.observe_points()) {
+        observed_[op.signal] = 1;
+    }
+    heap_.reserve(netlist.size());
+}
 
 TransitionFaultSim::Batch TransitionFaultSim::pack(
     std::span<const PatternPair> patterns, std::size_t first) const {
@@ -50,76 +61,81 @@ TransitionFaultSim::BatchValues TransitionFaultSim::evaluate(
     return BatchValues{logic_.eval64(batch.src1), logic_.eval64(batch.src2)};
 }
 
+std::uint64_t TransitionFaultSim::eval_faulty(GateId id,
+                                              std::uint32_t faulty_pin,
+                                              std::uint64_t faulty_word,
+                                              const BatchValues& values) const {
+    const Gate& g = netlist_->gate(id);
+    std::uint64_t ins[8];
+    for (std::uint32_t p = 0; p < static_cast<std::uint32_t>(g.fanin.size());
+         ++p) {
+        const GateId f = g.fanin[p];
+        ins[p] = p == faulty_pin              ? faulty_word
+                 : overlay_stamp_[f] == epoch_ ? overlay_[f]
+                                               : values.val2[f];
+    }
+    ++gates_evaluated_;
+    if (g.type == CellType::Output) return ins[0];
+    return eval_cell64(g.type,
+                       std::span<const std::uint64_t>(ins, g.fanin.size()));
+}
+
 std::uint64_t TransitionFaultSim::detect_mask(const TdfFault& fault,
                                               const BatchValues& values) const {
     const Netlist& nl = *netlist_;
-    const Gate& fg = nl.gate(fault.site.gate);
+    const GateId site = fault.site.gate;
 
     // Signal at the fault site under both vectors.
     const GateId site_signal = fault.site.pin == FaultSite::kOutputPin
-                                   ? fault.site.gate
-                                   : fg.fanin[fault.site.pin];
+                                   ? site
+                                   : nl.gate(site).fanin[fault.site.pin];
     const std::uint64_t s1 = values.val1[site_signal];
     const std::uint64_t s2 = values.val2[site_signal];
     const std::uint64_t act = fault.slow_rising ? (~s1 & s2) : (s1 & ~s2);
     if (act == 0) return 0;
 
+    if (++epoch_ == 0) {  // epoch counter wrapped: stamps are stale
+        std::fill(overlay_stamp_.begin(), overlay_stamp_.end(), 0);
+        std::fill(queued_stamp_.begin(), queued_stamp_.end(), 0);
+        epoch_ = 1;
+    }
+
     // Faulty propagation of the stale value under v2: the site keeps v1
     // in activated lanes.
-    std::unordered_map<GateId, std::uint64_t> overlay;
-    overlay.reserve(32);
-
-    std::uint64_t ins[8];
-    auto eval_with_overlay = [&](GateId id,
-                                 std::uint32_t faulty_pin,
-                                 std::uint64_t faulty_word) -> std::uint64_t {
-        const Gate& g = nl.gate(id);
-        for (std::uint32_t p = 0;
-             p < static_cast<std::uint32_t>(g.fanin.size()); ++p) {
-            if (p == faulty_pin) {
-                ins[p] = faulty_word;
-                continue;
-            }
-            auto it = overlay.find(g.fanin[p]);
-            ins[p] = it != overlay.end() ? it->second : values.val2[g.fanin[p]];
-        }
-        if (g.type == CellType::Output) return ins[0];
-        return eval_cell64(
-            g.type, std::span<const std::uint64_t>(ins, g.fanin.size()));
-    };
-
-    const std::uint64_t faulty_site = s2 ^ act;  // v1 value in active lanes
-    if (fault.site.pin == FaultSite::kOutputPin) {
-        overlay.emplace(fault.site.gate, faulty_site);
-    } else {
-        const std::uint64_t w = eval_with_overlay(
-            fault.site.gate, fault.site.pin, faulty_site);
-        if (w == values.val2[fault.site.gate]) return 0;
-        overlay.emplace(fault.site.gate, w);
-    }
-
-    for (GateId id : nl.fanout_cone(fault.site.gate)) {
-        if (id == fault.site.gate) continue;
-        const Gate& g = nl.gate(id);
-        bool dirty = false;
-        for (GateId f : g.fanin) {
-            if (overlay.contains(f)) {
-                dirty = true;
-                break;
-            }
-        }
-        if (!dirty) continue;
-        if (g.type == CellType::Dff) continue;  // register boundary
-        const std::uint64_t w =
-            eval_with_overlay(id, FaultSite::kOutputPin + 0, 0);
-        if (w != values.val2[id]) overlay.emplace(id, w);
-    }
+    const std::uint64_t faulty_site = s2 ^ act;
+    const std::uint64_t site_word =
+        fault.site.pin == FaultSite::kOutputPin
+            ? faulty_site
+            : eval_faulty(site, fault.site.pin, faulty_site, values);
+    if (site_word == values.val2[site]) return 0;
 
     std::uint64_t detected = 0;
-    for (const ObservePoint& op : nl.observe_points()) {
-        auto it = overlay.find(op.signal);
-        if (it == overlay.end()) continue;
-        detected |= it->second ^ values.val2[op.signal];
+    // Records a changed gate and queues its fanouts.  Dff sinks are never
+    // queued: fanout does not wrap around a register.
+    auto change = [&](GateId id, std::uint64_t word) {
+        overlay_[id] = word;
+        overlay_stamp_[id] = epoch_;
+        if (observed_[id] != 0) detected |= word ^ values.val2[id];
+        for (GateId out : nl.gate(id).fanout) {
+            if (queued_stamp_[out] == epoch_ ||
+                nl.gate(out).type == CellType::Dff) {
+                continue;
+            }
+            queued_stamp_[out] = epoch_;
+            heap_.push_back(nl.topo_rank(out));
+            std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        }
+    };
+    change(site, site_word);
+
+    const auto topo = nl.topo_order();
+    while (!heap_.empty()) {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+        const GateId id = topo[heap_.back()];
+        heap_.pop_back();
+        const std::uint64_t w =
+            eval_faulty(id, FaultSite::kOutputPin, 0, values);
+        if (w != values.val2[id]) change(id, w);
     }
     return detected & act;
 }
@@ -127,9 +143,14 @@ std::uint64_t TransitionFaultSim::detect_mask(const TdfFault& fault,
 std::vector<std::size_t> fault_simulate_tdf(
     const Netlist& netlist, std::span<const TdfFault> faults,
     std::span<const PatternPair> patterns) {
+    return fault_simulate_tdf(TransitionFaultSim(netlist), faults, patterns);
+}
+
+std::vector<std::size_t> fault_simulate_tdf(
+    const TransitionFaultSim& sim, std::span<const TdfFault> faults,
+    std::span<const PatternPair> patterns) {
     std::vector<std::size_t> first_detect(faults.size(), SIZE_MAX);
     if (patterns.empty()) return first_detect;
-    TransitionFaultSim sim(netlist);
     for (std::size_t base = 0; base < patterns.size(); base += 64) {
         const auto batch = sim.pack(patterns, base);
         const auto values = sim.evaluate(batch);

@@ -5,8 +5,12 @@
 // v1 sets the site to the initial value, v2 launches the transition,
 // and the stale value propagates to an observation point under v2 —
 // i.e. the gross-delay abstraction of a delay fault.  The simulator
-// packs 64 pattern pairs into machine words and re-simulates only the
-// fanout cone per fault, with fault dropping.
+// packs 64 pattern pairs into machine words and propagates each fault
+// event-driven: a min-heap keyed by topological rank holds only the
+// gates with a changed fanin, the faulty values live in a dense
+// epoch-stamped overlay, and the detection mask accumulates as values
+// are written at observed signals.  Dff sinks end propagation.
+// No call allocates once the instance exists.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +35,9 @@ struct TdfFault {
 /// of every combinational gate).
 std::vector<TdfFault> enumerate_tdf_faults(const Netlist& netlist);
 
+/// Holds per-call scratch (~21 bytes per gate) that detect_mask()
+/// mutates, so one instance must not be shared between threads: use one
+/// instance per thread.
 class TransitionFaultSim {
 public:
     explicit TransitionFaultSim(const Netlist& netlist);
@@ -58,15 +65,42 @@ public:
 
     [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
 
+    /// Gates detect_mask() evaluated on this instance (cheap perf
+    /// counter, monotone across calls).
+    [[nodiscard]] std::uint64_t gates_evaluated() const {
+        return gates_evaluated_;
+    }
+
 private:
+    [[nodiscard]] std::uint64_t eval_faulty(GateId id, std::uint32_t faulty_pin,
+                                            std::uint64_t faulty_word,
+                                            const BatchValues& values) const;
+
     const Netlist* netlist_;
     LogicSim logic_;
+    std::vector<std::uint8_t> observed_;  ///< gate drives an observe point
+
+    // detect_mask() scratch: a gate's faulty v2 word is valid while its
+    // overlay stamp equals epoch_, and it sits on (or has left) the
+    // worklist while its queued stamp does.
+    mutable std::vector<std::uint64_t> overlay_;
+    mutable std::vector<std::uint32_t> overlay_stamp_;
+    mutable std::vector<std::uint32_t> queued_stamp_;
+    mutable std::vector<std::uint32_t> heap_;  ///< min-heap of topo ranks
+    mutable std::uint32_t epoch_ = 0;
+    mutable std::uint64_t gates_evaluated_ = 0;
 };
 
 /// Convenience: fault-simulates `patterns` against `faults` with
 /// dropping; returns per-fault index of the first detecting pattern
 /// (SIZE_MAX if undetected).
 std::vector<std::size_t> fault_simulate_tdf(const Netlist& netlist,
+                                            std::span<const TdfFault> faults,
+                                            std::span<const PatternPair> patterns);
+
+/// Same, on the caller's simulator (whose gates_evaluated() counts the
+/// work).
+std::vector<std::size_t> fault_simulate_tdf(const TransitionFaultSim& sim,
                                             std::span<const TdfFault> faults,
                                             std::span<const PatternPair> patterns);
 

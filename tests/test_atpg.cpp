@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "netlist/builder.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "property_circuits.hpp"
+#include "util/metrics.hpp"
 #include "util/prng.hpp"
 
 namespace fastmon {
@@ -58,21 +64,25 @@ TEST(TfaultSim, PropagationBlockedByOffPath) {
     EXPECT_EQ(m & 0b11, 0b10u);
 }
 
-TEST(TfaultSim, FaultSimulateReportsFirstDetectingPattern) {
-    const Netlist nl = make_s27();
-    Prng rng(7);
+std::vector<PatternPair> random_pairs(const Netlist& nl, std::size_t count,
+                                      Prng& rng) {
     const std::size_t n = nl.comb_sources().size();
-    std::vector<PatternPair> pats;
-    for (int i = 0; i < 96; ++i) {
-        PatternPair p;
+    std::vector<PatternPair> pats(count);
+    for (PatternPair& p : pats) {
         p.v1.resize(n);
         p.v2.resize(n);
         for (std::size_t s = 0; s < n; ++s) {
             p.v1[s] = rng.chance(0.5) ? 1 : 0;
             p.v2[s] = rng.chance(0.5) ? 1 : 0;
         }
-        pats.push_back(p);
     }
+    return pats;
+}
+
+TEST(TfaultSim, FaultSimulateReportsFirstDetectingPattern) {
+    const Netlist nl = make_s27();
+    Prng rng(7);
+    const std::vector<PatternPair> pats = random_pairs(nl, 96, rng);
     const auto faults = enumerate_tdf_faults(nl);
     const auto first = fault_simulate_tdf(nl, faults, pats);
     ASSERT_EQ(first.size(), faults.size());
@@ -93,6 +103,109 @@ TEST(TfaultSim, FaultSimulateReportsFirstDetectingPattern) {
     EXPECT_GT(detected, faults.size() / 2);
 }
 
+// --- TdfSim: detect_mask against a brute-force whole-circuit oracle ---
+
+/// The generated circuits of StaEngineProperty (seeds 1..20) plus the
+/// embedded suite.
+std::vector<Netlist> oracle_circuits() {
+    std::vector<Netlist> out;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Prng rng = Prng::stream(seed, 0x57A9ULL);
+        out.push_back(property_circuit("tdf_prop", seed, rng));
+    }
+    for (const std::string& name : embedded_circuit_names()) {
+        out.push_back(make_embedded_circuit(name));
+    }
+    return out;
+}
+
+/// Re-simulates the whole circuit under v2 with the site signal (or,
+/// for a pin fault, that pin only) holding s2 ^ act in the active lanes;
+/// returns the OR over observe points of faulty ^ good, masked by act.
+std::uint64_t reference_detect_mask(
+    const Netlist& nl, const TdfFault& fault,
+    const TransitionFaultSim::BatchValues& values) {
+    const bool at_output = fault.site.pin == FaultSite::kOutputPin;
+    const GateId signal =
+        at_output ? fault.site.gate
+                  : nl.gate(fault.site.gate).fanin[fault.site.pin];
+    const std::uint64_t s1 = values.val1[signal];
+    const std::uint64_t s2 = values.val2[signal];
+    const std::uint64_t act = fault.slow_rising ? (~s1 & s2) : (s1 & ~s2);
+    const std::uint64_t stale = s2 ^ act;
+
+    std::vector<std::uint64_t> faulty(nl.size(), 0);
+    std::vector<std::uint64_t> ins;
+    for (GateId id : nl.topo_order()) {
+        const Gate& g = nl.gate(id);
+        if (nl.source_index(id) != std::numeric_limits<std::uint32_t>::max()) {
+            faulty[id] = values.val2[id];
+        } else {
+            ins.resize(g.fanin.size());
+            for (std::uint32_t p = 0; p < g.fanin.size(); ++p) {
+                const bool faulty_pin = !at_output && id == fault.site.gate &&
+                                        p == fault.site.pin;
+                ins[p] = faulty_pin ? stale : faulty[g.fanin[p]];
+            }
+            faulty[id] = g.type == CellType::Output ? ins[0]
+                                                    : eval_cell64(g.type, ins);
+        }
+        if (at_output && id == fault.site.gate) faulty[id] = stale;
+    }
+    std::uint64_t detected = 0;
+    for (const ObservePoint& op : nl.observe_points()) {
+        detected |= faulty[op.signal] ^ values.val2[op.signal];
+    }
+    return detected & act;
+}
+
+TEST(TdfSim, DetectMaskMatchesWholeCircuitOracle) {
+    std::size_t nonzero = 0;
+    for (const Netlist& nl : oracle_circuits()) {
+        const std::vector<TdfFault> faults = enumerate_tdf_faults(nl);
+        TransitionFaultSim sim(nl);
+        Prng rng = Prng::stream(nl.size(), 0x7DF5ULL);
+        for (int b = 0; b < 3; ++b) {
+            const auto pats = random_pairs(nl, 64, rng);
+            const auto values = sim.evaluate(sim.pack(pats, 0));
+            for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+                const std::uint64_t want =
+                    reference_detect_mask(nl, faults[fi], values);
+                ASSERT_EQ(sim.detect_mask(faults[fi], values), want)
+                    << nl.name() << " (" << nl.size() << " nodes) fault "
+                    << fi << " batch " << b;
+                if (want != 0) ++nonzero;
+            }
+        }
+    }
+    EXPECT_GT(nonzero, 1000u);  // the oracle is not vacuous
+}
+
+TEST(TdfSim, ReusedSimulatorMatchesFreshPerCall) {
+    // One simulator across interleaved faults and batches must give the
+    // masks of a fresh simulator per call: no stale overlay stamp or
+    // queued gate may leak from one call into the next.
+    for (const char* name : {"s27", "mini_alu"}) {
+        const Netlist nl = make_embedded_circuit(name);
+        const std::vector<TdfFault> faults = enumerate_tdf_faults(nl);
+        const TransitionFaultSim reused(nl);
+        Prng rng(11);
+        std::vector<TransitionFaultSim::BatchValues> batches;
+        for (int b = 0; b < 4; ++b) {
+            const auto pats = random_pairs(nl, 64, rng);
+            batches.push_back(reused.evaluate(reused.pack(pats, 0)));
+        }
+        for (std::size_t k = 0; k < 4 * faults.size(); ++k) {
+            const TdfFault& fault = faults[rng.next_below(faults.size())];
+            const auto& values = batches[rng.next_below(batches.size())];
+            EXPECT_EQ(reused.detect_mask(fault, values),
+                      TransitionFaultSim(nl).detect_mask(fault, values))
+                << name << " call " << k;
+        }
+        EXPECT_GT(reused.gates_evaluated(), 0u);
+    }
+}
+
 TEST(Atpg, FullCoverageOnS27) {
     AtpgConfig cfg;
     cfg.seed = 3;
@@ -103,6 +216,20 @@ TEST(Atpg, FullCoverageOnS27) {
     EXPECT_GT(r.coverage(), 0.95);
     EXPECT_GT(r.test_set.size(), 0u);
     EXPECT_LT(r.test_set.size(), 30u);  // compaction works
+}
+
+TEST(Atpg, PublishesTdfSimulationWork) {
+    MetricsRegistry& reg = MetricsRegistry::global();
+    Counter& evaluated = reg.counter("atpg.tdf_gates_evaluated");
+    Counter& unconfirmed = reg.counter("atpg.unconfirmed_witnesses");
+    const std::uint64_t evaluated_before = evaluated.value();
+    const std::uint64_t unconfirmed_before = unconfirmed.value();
+    AtpgConfig cfg;
+    cfg.seed = 3;
+    const AtpgResult r = generate_tdf_tests(make_s27(), cfg);
+    EXPECT_GT(evaluated.value(), evaluated_before);
+    EXPECT_EQ(r.num_unconfirmed, 0u);
+    EXPECT_EQ(unconfirmed.value(), unconfirmed_before);
 }
 
 TEST(Atpg, ResultConfirmedByFaultSimulation) {

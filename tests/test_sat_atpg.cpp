@@ -21,6 +21,7 @@
 
 #include "atpg/engine.hpp"
 #include "atpg/sat_atpg.hpp"
+#include "atpg/tdf_atpg.hpp"
 #include "atpg/tfault_sim.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
@@ -43,6 +44,7 @@ struct DifferentialCounts {
     int mismatches = 0;
     int aborts = 0;
     int bad_witnesses = 0;
+    std::size_t unconfirmed = 0;  ///< over both engines' generate_tdf_tests
 };
 
 /// Runs every fault of `nl` through PODEM (large backtrack budget) and
@@ -93,6 +95,12 @@ DifferentialCounts run_differential(const Netlist& nl) {
             ++counts.untestable;
         }
     }
+    // The full ATPG flow with every fault targeted (no random phase):
+    // each engine's Testable witness must detect its own target.
+    for (AtpgConfig cfg : {podem_cfg, sat_cfg}) {
+        cfg.max_random_batches = 0;
+        counts.unconfirmed += generate_tdf_tests(nl, cfg).num_unconfirmed;
+    }
     return counts;
 }
 
@@ -101,6 +109,7 @@ TEST(SatAtpg, DifferentialAgreesOnEmbeddedCircuits) {
         const DifferentialCounts c = run_differential(make_embedded_circuit(name));
         EXPECT_EQ(c.mismatches, 0) << name;
         EXPECT_EQ(c.bad_witnesses, 0) << name;
+        EXPECT_EQ(c.unconfirmed, 0u) << name;
         EXPECT_EQ(c.aborts, 0) << name;
         EXPECT_GT(c.testable, 0) << name;
     }
@@ -110,6 +119,7 @@ TEST(SatAtpg, DifferentialAgreesOnParityTree) {
     const DifferentialCounts c = run_differential(make_parity_tree(4));
     EXPECT_EQ(c.mismatches, 0);
     EXPECT_EQ(c.bad_witnesses, 0);
+    EXPECT_EQ(c.unconfirmed, 0u);
     EXPECT_EQ(c.aborts, 0);
     EXPECT_GT(c.testable, 0);
 }
@@ -121,6 +131,7 @@ TEST(SatAtpg, DifferentialAgreesOnGeneratedProfile) {
     const DifferentialCounts c = run_differential(generated_s9234());
     EXPECT_EQ(c.mismatches, 0);
     EXPECT_EQ(c.bad_witnesses, 0);
+    EXPECT_EQ(c.unconfirmed, 0u);
     EXPECT_EQ(c.aborts, 0);
     EXPECT_GT(c.testable, 0);
     EXPECT_GT(c.untestable, 0);

@@ -18,6 +18,7 @@
 #include "monitor/placement.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "property_circuits.hpp"
 #include "util/prng.hpp"
 #include "wearout/wearout.hpp"
 
@@ -278,16 +279,7 @@ DelayDelta random_delta(const Netlist& nl, const std::vector<GateId>& comb,
 TEST(StaEngineProperty, UpdateEqualsAnalyzeOnTransformedBase) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         Prng rng = Prng::stream(seed, 0x57A9ULL);
-        GeneratorConfig cfg;
-        cfg.name = "sta_prop";
-        cfg.n_gates = 40 + rng.next_below(160);
-        cfg.n_ffs = 2 + rng.next_below(12);
-        cfg.n_inputs = 3 + rng.next_below(8);
-        cfg.n_outputs = 2 + rng.next_below(6);
-        cfg.depth = 4 + rng.next_below(10);
-        cfg.spread = rng.uniform(0.0, 1.0);
-        cfg.seed = seed;
-        const Netlist nl = generate_circuit(cfg);
+        const Netlist nl = property_circuit("sta_prop", seed, rng);
         const DelayAnnotation base =
             DelayAnnotation::with_variation(nl, 0.1, seed);
         const std::vector<GateId> comb = combinational_gates(nl);
