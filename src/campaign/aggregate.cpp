@@ -46,8 +46,10 @@ std::optional<DistributionSummary> DistributionSummary::from_json(
         !p90->is_number()) {
         return std::nullopt;
     }
+    const auto count_value = json_uint<std::size_t>(*count);
+    if (!count_value) return std::nullopt;
     DistributionSummary s;
-    s.count = static_cast<std::size_t>(count->as_number());
+    s.count = *count_value;
     s.mean = mean->as_number();
     s.p10 = p10->as_number();
     s.p50 = p50->as_number();

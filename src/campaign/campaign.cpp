@@ -275,14 +275,15 @@ CampaignResult run_campaign(const Netlist& netlist,
         ctx.grid = make_year_grid(config.horizon_years, config.step_years);
         ctx.screen_years = config.screen_years;
         ctx.variation_sigma_log = config.model.variation.sigma_log;
-        if (config.wearout.enabled) {
-            // Design-time characterization (activity extraction over
-            // the nominal annotation) plus mission-rate resolution —
-            // one shared immutable artifact for every device.
-            wearout = std::make_unique<WearoutModel>(netlist, nominal,
-                                                     config.wearout);
-            ctx.wearout = wearout.get();
-        }
+        // Design-time characterization (activity extraction over the
+        // nominal annotation) plus mission-rate resolution — one shared
+        // immutable artifact for every device.  With wear-out disabled
+        // the devices degrade through the legacy preset instead.
+        wearout = std::make_unique<WearoutModel>(
+            netlist, nominal,
+            config.wearout.enabled ? config.wearout
+                                   : WearoutConfig::legacy_preset());
+        ctx.wearout = wearout.get();
         sites = combinational_sites(netlist);
     } catch (const std::exception& e) {
         // Invalid configuration (e.g. a rejected year grid) yields an
@@ -388,66 +389,18 @@ CampaignResult run_campaign(const Netlist& netlist,
         const std::size_t batch_width = resolve_batch_width(config);
         result.batch_width = batch_width;
 
-        const auto roll_range_scalar = [&](std::size_t begin,
-                                           std::size_t end) {
-            // One incremental engine per shard: the first device builds
-            // the arenas, later devices rebase onto them, and every
-            // year-grid point is a cone-limited update.
+        const auto roll_range = [&](std::size_t begin, std::size_t end) {
+            // One kernel per shard; the shard's pending devices are
+            // gathered `batch_width` at a time and flushed through it.
+            // Width 1 is the scalar reference kernel on one incremental
+            // engine (the first device builds the arenas, later devices
+            // rebase onto them); wider batches share one BatchRollout.
+            // Resumed devices are skipped, so a batch may span
+            // non-contiguous indices — each device is a pure function
+            // of its own seed, so lane placement cannot change its
+            // outcome.
             const TraceSpan shard_span("campaign_shard", "campaign");
             std::unique_ptr<StaEngine> engine;
-            ProgressReporter::WorkerSlot* slot =
-                reporter ? &reporter->slot_for_this_thread() : nullptr;
-            WorkerSketches local;
-            // The scalar path evaluates the full grid for every device
-            // (no early retirement), so a device is grid.size()
-            // lane-years of progress.
-            const auto grid_years =
-                static_cast<std::uint64_t>(ctx.grid.size());
-            for (std::size_t i = begin; i < end; ++i) {
-                if (token.cancelled()) break;   // device-boundary poll
-                poll_shard_faults();
-                if (slots[i]) continue;         // resumed from checkpoint
-                const std::uint64_t t0 = telemetry_now_ns();
-                const DeviceSample sample = [&] {
-                    const TraceSpan pop("campaign_population", "campaign");
-                    return sample_device(config.model, config.seed,
-                                         static_cast<std::uint32_t>(i),
-                                         sites, ctx.clock_period);
-                }();
-                slots[i] = roll_device(ctx, sample, &engine);
-                // Scalar batch = 1 device, so the device boundary IS
-                // the batch boundary the telemetry contract samples at.
-                const std::uint64_t dt = telemetry_now_ns() - t0;
-                local.roll_latency_us.record(
-                    static_cast<double>(dt) * 1e-3);
-                local.record_outcome(*slots[i]);
-                if (slot) {
-                    slot->devices.fetch_add(1, std::memory_order_relaxed);
-                    slot->batches.fetch_add(1, std::memory_order_relaxed);
-                    slot->lane_years.fetch_add(grid_years,
-                                               std::memory_order_relaxed);
-                    slot->busy_ns.fetch_add(dt, std::memory_order_relaxed);
-                }
-            }
-            sketches.merge(local);
-            if (engine) {
-                const StaEngine::Stats& es = engine->stats();
-                metrics.counter("campaign.sta_full_passes")
-                    .add(es.full_passes);
-                metrics.counter("campaign.sta_dense_updates")
-                    .add(es.dense_updates);
-                metrics.counter("campaign.sta_rebases").add(es.rebases);
-            }
-        };
-
-        const auto roll_range_batched = [&](std::size_t begin,
-                                            std::size_t end) {
-            // One batch engine per shard; lanes cycle through the
-            // shard's pending devices `batch_width` at a time.  Resumed
-            // devices are skipped, so a batch may span non-contiguous
-            // indices — each device is a pure function of its own seed,
-            // so lane placement cannot change its outcome.
-            const TraceSpan shard_span("campaign_shard", "campaign");
             std::unique_ptr<BatchRollout> rollout;
             std::vector<DeviceSample> samples;
             std::vector<DeviceOutcome> outcomes;
@@ -458,42 +411,52 @@ CampaignResult run_campaign(const Netlist& netlist,
                 reporter ? &reporter->slot_for_this_thread() : nullptr;
             WorkerSketches local;
             // Counters are sampled at batch boundaries only — the SoA
-            // lane loops below run untouched — by diffing the rollout's
+            // lane loops run untouched — by diffing the rollout's
             // cumulative stats across flushes.
             std::uint64_t seen_lane_years = 0;
             std::uint64_t seen_settled = 0;
             const auto flush = [&] {
                 if (indices.empty()) return;
-                if (!rollout) rollout = std::make_unique<BatchRollout>(ctx);
                 const std::uint64_t t0 = telemetry_now_ns();
+                const auto n = static_cast<std::uint64_t>(indices.size());
                 outcomes.resize(indices.size());
-                rollout->roll(samples, outcomes);
+                // The scalar kernel evaluates the full grid for every
+                // device (no early retirement).
+                std::uint64_t lane_years = n * ctx.grid.size();
+                std::uint64_t settled = 0;
+                if (batch_width > 1) {
+                    if (!rollout) {
+                        rollout = std::make_unique<BatchRollout>(ctx);
+                    }
+                    rollout->roll(samples, outcomes);
+                    const BatchRollout::Stats& bs = rollout->stats();
+                    lane_years = bs.lane_years - seen_lane_years;
+                    settled = bs.lanes_settled_early - seen_settled;
+                    seen_lane_years = bs.lane_years;
+                    seen_settled = bs.lanes_settled_early;
+                } else {
+                    for (std::size_t k = 0; k < samples.size(); ++k) {
+                        outcomes[k] = roll_device(ctx, samples[k], &engine);
+                    }
+                }
                 const std::uint64_t dt = telemetry_now_ns() - t0;
-                const auto n =
-                    static_cast<std::uint64_t>(indices.size());
                 // Per-device roll latency at batch granularity: the
                 // batch wall split evenly over its lanes.
                 local.roll_latency_us.record(
-                    static_cast<double>(dt) * 1e-3 /
-                        static_cast<double>(n),
+                    static_cast<double>(dt) * 1e-3 / static_cast<double>(n),
                     n);
                 for (std::size_t k = 0; k < indices.size(); ++k) {
                     local.record_outcome(outcomes[k]);
                     slots[indices[k]] = std::move(outcomes[k]);
                 }
                 if (slot) {
-                    const BatchRollout::Stats& bs = rollout->stats();
                     slot->devices.fetch_add(n, std::memory_order_relaxed);
                     slot->batches.fetch_add(1, std::memory_order_relaxed);
-                    slot->lane_years.fetch_add(
-                        bs.lane_years - seen_lane_years,
-                        std::memory_order_relaxed);
-                    slot->settled_early.fetch_add(
-                        bs.lanes_settled_early - seen_settled,
-                        std::memory_order_relaxed);
+                    slot->lane_years.fetch_add(lane_years,
+                                               std::memory_order_relaxed);
+                    slot->settled_early.fetch_add(settled,
+                                                  std::memory_order_relaxed);
                     slot->busy_ns.fetch_add(dt, std::memory_order_relaxed);
-                    seen_lane_years = bs.lane_years;
-                    seen_settled = bs.lanes_settled_early;
                 }
                 samples.clear();
                 indices.clear();
@@ -521,6 +484,14 @@ CampaignResult run_campaign(const Netlist& netlist,
             }
             if (!token.cancelled()) flush();    // ragged shard tail
             sketches.merge(local);
+            if (engine) {
+                const StaEngine::Stats& es = engine->stats();
+                metrics.counter("campaign.sta_full_passes")
+                    .add(es.full_passes);
+                metrics.counter("campaign.sta_dense_updates")
+                    .add(es.dense_updates);
+                metrics.counter("campaign.sta_rebases").add(es.rebases);
+            }
             if (rollout) {
                 const BatchRollout::Stats& bs = rollout->stats();
                 metrics.counter("campaign.batch_batches").add(bs.batches);
@@ -536,14 +507,6 @@ CampaignResult run_campaign(const Netlist& netlist,
                     .add(es.lane_loads);
                 metrics.counter("campaign.batch_sta_lanes_retired")
                     .add(es.lanes_retired);
-            }
-        };
-
-        const auto roll_range = [&](std::size_t begin, std::size_t end) {
-            if (batch_width > 1) {
-                roll_range_batched(begin, end);
-            } else {
-                roll_range_scalar(begin, end);
             }
         };
 

@@ -81,11 +81,12 @@ struct CampaignConfig {
     bool progress_stderr = false;
     /// Physics-grounded multi-mechanism wear-out (mission profiles,
     /// NBTI/HCI/EM/TDDB + the legacy knob, activity-driven stress).
-    /// Disabled by default: the legacy single-knob path runs untouched
-    /// and every artifact — report, checkpoint, shard — is
-    /// byte-identical to a pre-wearout build.  When enabled the
-    /// wear-out fields join the canonical string, so checkpoints from
-    /// different missions never cross-resume.
+    /// Disabled by default: devices degrade through the registry's
+    /// legacy preset (WearoutConfig::legacy_preset()) and every
+    /// artifact — report, checkpoint, shard — is byte-identical to a
+    /// pre-wearout build.  When enabled the wear-out fields join the
+    /// canonical string, so checkpoints from different missions never
+    /// cross-resume.
     WearoutConfig wearout;
     /// Shard coordinates for multi-process fleet execution: this run
     /// rolls only the devices in shard_device_range(population,

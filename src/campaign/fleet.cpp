@@ -92,16 +92,21 @@ std::optional<FleetJob> FleetJob::from_json(const Json& j) {
         !shard_count->is_number()) {
         return std::nullopt;
     }
+    const auto index_value = json_uint<std::uint32_t>(*shard_index);
+    const auto count_value = json_uint<std::uint32_t>(*shard_count);
+    if (!index_value || !count_value) return std::nullopt;
     FleetJob job;
     job.id = id->as_string();
-    job.shard_index = static_cast<std::uint32_t>(shard_index->as_number());
-    job.shard_count = static_cast<std::uint32_t>(shard_count->as_number());
+    job.shard_index = *index_value;
+    job.shard_count = *count_value;
     if (job.shard_count == 0 || job.shard_index >= job.shard_count) {
         return std::nullopt;
     }
     if (const Json* attempts = j.find("attempts");
         attempts && attempts->is_number()) {
-        job.attempts = static_cast<std::uint32_t>(attempts->as_number());
+        const auto attempts_value = json_uint<std::uint32_t>(*attempts);
+        if (!attempts_value) return std::nullopt;
+        job.attempts = *attempts_value;
     }
     if (const Json* err = j.find("last_error"); err && err->is_string()) {
         job.last_error = err->as_string();

@@ -17,13 +17,40 @@ double lead_between(double alert, double failure) {
     return failure - alert;
 }
 
-/// Wear-out attribution, evaluated at the failure year (or the horizon
-/// for survivors).  Identical inputs on the scalar and batched paths,
-/// so the recorded attribution is part of the bit-identity contract.
-void record_attribution(const RolloutContext& ctx,
-                        const DeviceDegradation& degradation,
-                        DeviceOutcome& out) {
-    if (!ctx.wearout || ctx.grid.empty()) return;
+/// Outcome fields fixed before the first grid year.
+DeviceOutcome begin_outcome(const DeviceSample& sample,
+                            std::size_t num_configs) {
+    DeviceOutcome out;
+    out.index = sample.index;
+    out.marginal = sample.marginal();
+    out.num_defects = static_cast<std::uint32_t>(sample.defects.size());
+    out.aging_amplitude = sample.aging.amplitude;
+    out.first_alert_years.assign(num_configs, -1.0);
+    return out;
+}
+
+/// Outcome fields derived after the grid: the burn-in screen score and
+/// the wear-out attribution.  The scalar and batched rollouts both end
+/// here, so these formulas are part of their bit-identity contract.
+void finish_outcome(const RolloutContext& ctx,
+                    const DeviceDegradation& degradation,
+                    DeviceOutcome& out) {
+    // FAST-style burn-in screen: each guard band alerting inside the
+    // screen window contributes 1 plus its normalized earliness, so a
+    // device tripping narrower bands (or tripping them sooner) scores
+    // strictly higher — the manufacturing-time marginality signature.
+    const double window = std::max(ctx.screen_years, 0.0);
+    for (std::size_t c = 1; c < out.first_alert_years.size(); ++c) {
+        const double first = out.first_alert_years[c];
+        if (first >= 0.0 && first <= window + 1e-9) {
+            const double earliness =
+                window > 0.0 ? (window - first) / window : 0.0;
+            out.screen_score += 1.0 + std::clamp(earliness, 0.0, 1.0);
+        }
+    }
+    // Wear-out attribution at the failure year (or the horizon for
+    // survivors); dominant_mechanism() is null unless wear-out is on.
+    if (ctx.grid.empty()) return;
     const double at_years =
         out.failure_years >= 0.0 ? out.failure_years : ctx.grid.back();
     double share = 0.0;
@@ -85,10 +112,13 @@ std::optional<DeviceOutcome> DeviceOutcome::from_json(const Json& j) {
         !margin->is_number() || !score || !score->is_number()) {
         return std::nullopt;
     }
+    const auto index_value = json_uint<std::uint32_t>(*index);
+    const auto num_defects = json_uint<std::uint32_t>(*defects);
+    if (!index_value || !num_defects) return std::nullopt;
     DeviceOutcome out;
-    out.index = static_cast<std::uint32_t>(index->as_number());
+    out.index = *index_value;
     out.marginal = marginal->as_bool();
-    out.num_defects = static_cast<std::uint32_t>(defects->as_number());
+    out.num_defects = *num_defects;
     out.aging_amplitude = amplitude->as_number();
     for (const Json& a : alerts->as_array()) {
         if (!a.is_number()) return std::nullopt;
@@ -137,11 +167,8 @@ std::vector<double> make_year_grid(double horizon_years, double step_years) {
 DeviceOutcome roll_device(const RolloutContext& ctx,
                           const DeviceSample& sample,
                           std::unique_ptr<StaEngine>* engine_scratch) {
-    DeviceOutcome out;
-    out.index = sample.index;
-    out.marginal = sample.marginal();
-    out.num_defects = static_cast<std::uint32_t>(sample.defects.size());
-    out.aging_amplitude = sample.aging.amplitude;
+    const std::size_t num_configs = ctx.placement->config_delays.size();
+    DeviceOutcome out = begin_outcome(sample, num_configs);
 
     // Per-device silicon: process variation sampled from the device's
     // own stream, so any shard order reproduces it.
@@ -164,8 +191,6 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
         sim.add_defect(defect);
     }
 
-    const std::size_t num_configs = ctx.placement->config_delays.size();
-    out.first_alert_years.assign(num_configs, -1.0);
     LifetimePoint p;  // reused across the grid: one alert buffer
     for (const double year : ctx.grid) {
         sim.evaluate_into(year, *ctx.placement, p);
@@ -182,28 +207,19 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
                 p.worst_monitored_arrival / ctx.clock_period;
         }
     }
-
-    // FAST-style burn-in screen: each guard band alerting inside the
-    // screen window contributes 1 plus its normalized earliness, so a
-    // device tripping narrower bands (or tripping them sooner) scores
-    // strictly higher — the manufacturing-time marginality signature.
-    const double window = std::max(ctx.screen_years, 0.0);
-    for (std::size_t c = 1; c < out.first_alert_years.size(); ++c) {
-        const double first = out.first_alert_years[c];
-        if (first >= 0.0 && first <= window + 1e-9) {
-            const double earliness =
-                window > 0.0 ? (window - first) / window : 0.0;
-            out.screen_score += 1.0 + std::clamp(earliness, 0.0, 1.0);
-        }
-    }
-    record_attribution(ctx, sim.degradation(), out);
+    finish_outcome(ctx, sim.degradation(), out);
     return out;
 }
 
 BatchRollout::BatchRollout(const RolloutContext& ctx)
     : ctx_(&ctx),
       nominal_(DelayAnnotation::nominal(*ctx.netlist)),
-      engine_(*ctx.netlist, nominal_, 1.0) {
+      engine_(*ctx.netlist, nominal_, 1.0),
+      owned_wearout_(ctx.wearout ? nullptr
+                                 : std::make_unique<WearoutModel>(
+                                       *ctx.netlist, nominal_,
+                                       WearoutConfig::legacy_preset())),
+      wearout_(ctx.wearout ? ctx.wearout : owned_wearout_.get()) {
     const auto ops = ctx.netlist->observe_points();
     const MonitorPlacement& placement = *ctx.placement;
     for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
@@ -230,39 +246,15 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
             *ctx_->netlist, ctx_->variation_sigma_log, sample.seed, factors_);
         engine_.load_lane(l, factors_);
         degradation_[l].reset(*ctx_->netlist, sample.aging, sample.seed,
-                              ctx_->wearout);
+                              *wearout_);
         for (const MarginalDefect& defect : sample.defects) {
             degradation_[l].add_defect(defect);
         }
         settled_[l] = 0;
-        DeviceOutcome& out = outcomes[l];
-        out = DeviceOutcome{};
-        out.index = sample.index;
-        out.marginal = sample.marginal();
-        out.num_defects = static_cast<std::uint32_t>(sample.defects.size());
-        out.aging_amplitude = sample.aging.amplitude;
-        out.first_alert_years.assign(num_configs, -1.0);
+        outcomes[l] = begin_outcome(sample, num_configs);
     }
     for (std::size_t l = n; l < kBatchWidth; ++l) {
         engine_.retire_lane(l);  // ragged final batch
-    }
-
-    // Campaign lanes share the aging exponent and reference time (only
-    // the amplitude is jittered per device), so one pow() per grid year
-    // serves the whole batch.  Fall back to per-lane factors if a
-    // caller ever mixes models — or under wear-out, whose mechanism
-    // curves are per-device (Weibull severities, mission stress), so
-    // every lane funnels through the same fill_delta(years, delta) the
-    // scalar path uses.
-    const AgingModel& model0 = degradation_[0].model();
-    bool shared_term = ctx_->wearout == nullptr;
-    for (std::size_t l = 1; l < n; ++l) {
-        const AgingModel& m = degradation_[l].model();
-        if (m.exponent != model0.exponent ||
-            m.t_ref_years != model0.t_ref_years) {
-            shared_term = false;
-            break;
-        }
     }
 
     const Time* const arr = engine_.max_arrival_data();
@@ -271,16 +263,10 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
         // formula (all combinational gates, ascending): the shape
         // BatchDelayDelta requires.
         batch_delta_.clear();
-        const double pow_term =
-            shared_term && year > 0.0 ? model0.pow_term(year) : 0.0;
         bool any_active = false;
         for (std::size_t l = 0; l < n; ++l) {
             if (settled_[l]) continue;
-            if (shared_term) {
-                degradation_[l].fill_delta(year, lane_delta_[l], pow_term);
-            } else {
-                degradation_[l].fill_delta(year, lane_delta_[l]);
-            }
+            degradation_[l].fill_delta(year, lane_delta_[l]);
             batch_delta_.set(l, &lane_delta_[l]);
             any_active = true;
         }
@@ -347,18 +333,8 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
         }
     }
 
-    const double window = std::max(ctx_->screen_years, 0.0);
     for (std::size_t l = 0; l < n; ++l) {
-        DeviceOutcome& out = outcomes[l];
-        for (std::size_t c = 1; c < out.first_alert_years.size(); ++c) {
-            const double first = out.first_alert_years[c];
-            if (first >= 0.0 && first <= window + 1e-9) {
-                const double earliness =
-                    window > 0.0 ? (window - first) / window : 0.0;
-                out.screen_score += 1.0 + std::clamp(earliness, 0.0, 1.0);
-            }
-        }
-        record_attribution(*ctx_, degradation_[l], out);
+        finish_outcome(*ctx_, degradation_[l], outcomes[l]);
     }
     ++stats_.batches;
     stats_.devices += n;

@@ -40,8 +40,11 @@ struct RolloutContext {
     double screen_years = 0.5;
     /// Per-gate lognormal process-variation sigma (VariationModel).
     double variation_sigma_log = 0.05;
-    /// Multi-mechanism wear-out model (mission profile campaigns);
-    /// null = the legacy single-knob aging path.
+    /// Wear-out mechanism registry every device degrades through:
+    /// the mission-profile model, or the legacy preset
+    /// (WearoutConfig::legacy_preset()) when wear-out is disabled.
+    /// run_campaign always sets it; a rollout given null builds and
+    /// owns the legacy preset itself.
     const WearoutModel* wearout = nullptr;
 };
 
@@ -139,6 +142,9 @@ private:
     /// their device's variation factors at load time.
     DelayAnnotation nominal_;
     BatchStaEngine engine_;
+    /// The legacy preset, when the context carries no registry.
+    std::unique_ptr<WearoutModel> owned_wearout_;
+    const WearoutModel* wearout_;
     std::array<DeviceDegradation, kBatchWidth> degradation_;
     std::array<DelayDelta, kBatchWidth> lane_delta_;
     std::array<std::uint8_t, kBatchWidth> settled_{};

@@ -142,11 +142,20 @@ std::optional<ShardResult> ShardResult::from_json(const Json& j,
     const auto fp = parse_fingerprint_hex(fingerprint->as_string());
     if (!fp) return reject("shard fingerprint is malformed");
     shard.fingerprint = *fp;
-    shard.shard_index = static_cast<std::uint32_t>(shard_index->as_number());
-    shard.shard_count = static_cast<std::uint32_t>(shard_count->as_number());
-    shard.population = static_cast<std::uint64_t>(population->as_number());
-    shard.range_begin = static_cast<std::uint64_t>(range_begin->as_number());
-    shard.range_end = static_cast<std::uint64_t>(range_end->as_number());
+    const auto index_value = json_uint<std::uint32_t>(*shard_index);
+    const auto count_value = json_uint<std::uint32_t>(*shard_count);
+    const auto population_value = json_uint<std::uint64_t>(*population);
+    const auto begin_value = json_uint<std::uint64_t>(*range_begin);
+    const auto end_value = json_uint<std::uint64_t>(*range_end);
+    if (!index_value || !count_value || !population_value || !begin_value ||
+        !end_value) {
+        return reject("shard coordinates are not non-negative integers");
+    }
+    shard.shard_index = *index_value;
+    shard.shard_count = *count_value;
+    shard.population = *population_value;
+    shard.range_begin = *begin_value;
+    shard.range_end = *end_value;
     shard.early_fail_years = early_fail->as_number();
     if (shard.shard_count == 0 || shard.shard_index >= shard.shard_count) {
         return reject("shard coordinates are out of range");

@@ -350,11 +350,15 @@ std::optional<CoverageRow> CoverageRow::from_json(const Json& j) {
         !schedule->is_number() || !reduction || !reduction->is_number()) {
         return std::nullopt;
     }
+    const auto num_frequencies = json_uint<std::size_t>(*freqs);
+    const auto naive_pc = json_uint<std::size_t>(*naive);
+    const auto schedule_size = json_uint<std::size_t>(*schedule);
+    if (!num_frequencies || !naive_pc || !schedule_size) return std::nullopt;
     CoverageRow row;
     row.coverage = coverage->as_number();
-    row.num_frequencies = static_cast<std::size_t>(freqs->as_number());
-    row.naive_pc = static_cast<std::size_t>(naive->as_number());
-    row.schedule_size = static_cast<std::size_t>(schedule->as_number());
+    row.num_frequencies = *num_frequencies;
+    row.naive_pc = *naive_pc;
+    row.schedule_size = *schedule_size;
     row.reduction_percent = reduction->as_number();
     return row;
 }

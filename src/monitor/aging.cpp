@@ -4,22 +4,16 @@
 #include <cmath>
 
 #include "util/prng.hpp"
-#include "wearout/wearout.hpp"
 
 namespace fastmon {
 
 double AgingModel::factor(double years) const {
-    if (years <= 0.0) return 1.0;
-    return 1.0 + amplitude * pow_term(years);
-}
-
-double AgingModel::pow_term(double years) const {
-    // Anchored at exactly 0.0 for years <= 0 (and NaN, via the negated
+    // Anchored at exactly 1.0 for years <= 0 (and NaN, via the negated
     // comparison): pow() of a negative ratio is NaN and pow(0, n) is 1
     // or inf for n <= 0 — none of which a phase boundary at t = 0
     // should ever observe.
-    if (!(years > 0.0)) return 0.0;
-    return std::pow(years / t_ref_years, exponent);
+    if (!(years > 0.0)) return 1.0;
+    return 1.0 + amplitude * std::pow(years / t_ref_years, exponent);
 }
 
 Time MarginalDefect::delta_at(double years) const {
@@ -75,70 +69,43 @@ std::optional<LifetimePoint> LifetimePoint::from_json(const Json& j) {
 
 void DeviceDegradation::reset(const Netlist& netlist, AgingModel model,
                               std::uint64_t seed,
-                              const WearoutModel* wearout) {
+                              const WearoutModel& wearout) {
     model_ = model;
+    wearout_ = &wearout;
     defects_.clear();
     // Per-gate aging-rate jitter: gates with high switching activity
     // (HCI) or high duty cycle (BTI) degrade faster; modelled as a
-    // uniform +-50 % spread around the nominal rate.
+    // uniform +-50 % spread around the nominal rate.  Every gate draws,
+    // combinational or not, so the stream position is the gate id.
     Prng rng(seed ^ 0xA61713ULL);
-    activity_.resize(netlist.size());
-    for (double& a : activity_) a = rng.uniform(0.5, 1.5);
     comb_gates_.clear();
-    comb_activity_.clear();
+    jitter_.clear();
     for (GateId id = 0; id < netlist.size(); ++id) {
+        const double u = rng.uniform(0.5, 1.5);
         if (is_combinational(netlist.gate(id).type)) {
             comb_gates_.push_back(id);
-            comb_activity_.push_back(activity_[id]);
+            jitter_.push_back(u);
         }
     }
-    wearout_ = wearout;
-    mech_stress_.clear();
-    mech_stress_sum_.clear();
-    device_scale_.clear();
-    if (!wearout_) return;
-    // Pack mechanism stress in comb-gate order on top of the legacy
-    // jitter (so a constant activity profile degenerates to exactly
-    // the jitter, and waveform-derived stress rides on it).
+    // Pack mechanism stress in comb-gate order on top of the jitter (so
+    // a constant activity profile degenerates to exactly the jitter,
+    // and waveform-derived stress rides on it).
     const std::size_t n = comb_gates_.size();
-    const std::size_t num_mechs = wearout_->num_mechanisms();
+    const std::size_t num_mechs = wearout.num_mechanisms();
     mech_stress_.resize(num_mechs * n);
     mech_stress_sum_.assign(num_mechs, 0.0);
+    coef_.resize(num_mechs);
     for (std::size_t m = 0; m < num_mechs; ++m) {
-        const std::vector<double>& gate_stress = wearout_->gate_stress(m);
+        const std::vector<double>& gate_stress = wearout.gate_stress(m);
         double sum = 0.0;
         for (std::size_t i = 0; i < n; ++i) {
-            const double s = gate_stress[comb_gates_[i]] * comb_activity_[i];
+            const double s = gate_stress[comb_gates_[i]] * jitter_[i];
             mech_stress_[m * n + i] = s;
             sum += s;
         }
         mech_stress_sum_[m] = sum;
     }
-    wearout_->device_scales(seed, device_scale_);
-}
-
-void DeviceDegradation::fill_delta(double years, DelayDelta& delta) const {
-    if (wearout_) {
-        fill_wearout(years, delta);
-        return;
-    }
-    fill_from_factor(years, model_.factor(years), delta);
-}
-
-void DeviceDegradation::fill_delta(double years, DelayDelta& delta,
-                                   double pow_term) const {
-    if (wearout_) {
-        // Mechanism curves are per-device (Weibull scales, mission
-        // stress), so the batch-shared hint does not apply.
-        fill_wearout(years, delta);
-        return;
-    }
-    // Same expression tree as AgingModel::factor, with the caller's
-    // precomputed (t / t_ref)^n — bit-identical when pow_term matches
-    // model().pow_term(years).
-    const double factor =
-        years <= 0.0 ? 1.0 : 1.0 + model_.amplitude * pow_term;
-    fill_from_factor(years, factor, delta);
+    wearout.device_scales(seed, device_scale_);
 }
 
 double DeviceDegradation::mechanism_coefficient(std::size_t m,
@@ -147,32 +114,41 @@ double DeviceDegradation::mechanism_coefficient(std::size_t m,
     const double tau = wearout_->equivalent_years(m, years);
     if (!(tau > 0.0)) return 0.0;
     if (cfg.kind == MechanismKind::LegacyPowerLaw) {
-        // The legacy knob rides the device's sampled AgingModel, and
-        // reproduces fill_from_factor's rounding exactly — (1 + A*S) -
-        // 1, not A*S — so a unit-rate mission with constant activity
-        // is bit-identical to the profile-free path.
-        return (1.0 + model_.amplitude * model_.pow_term(tau)) - 1.0;
+        // The legacy knob rides the device's sampled AgingModel; the
+        // coefficient is factor - 1 (not A * (tau / t_ref)^n), the
+        // rounding the closed form 1 + (factor - 1) * jitter pins.
+        return model_.factor(tau) - 1.0;
     }
     return cfg.amplitude * device_scale_[m] * cfg.stress_integral(tau);
 }
 
-void DeviceDegradation::fill_wearout(double years, DelayDelta& delta) const {
+void DeviceDegradation::fill_delta(double years, DelayDelta& delta) const {
     const std::size_t n = comb_gates_.size();
-    const std::size_t num_mechs = wearout_->num_mechanisms();
-    coef_.resize(num_mechs);
+    const std::size_t num_mechs = coef_.size();
     for (std::size_t m = 0; m < num_mechs; ++m) {
         coef_[m] = mechanism_coefficient(m, years);
     }
+    // In-place refresh instead of clear() + push_back: the scale list's
+    // shape (every combinational gate, ascending) is fixed per device
+    // and this runs once per lane per grid year in the campaign hot
+    // path.  Mechanism-outer: the scale slots hold the partial sums,
+    // adding contributions in registry order (DESIGN.md section 12),
+    // and the last pass forms 1 + sum — a unit-stride inner loop per
+    // mechanism with the same additions, in the same order, as a
+    // per-gate sum.  The registry is never empty (resolved_mechanisms
+    // falls back to the default set), so the last pass always runs.
     delta.scales.resize(n);
     DelayDelta::GateScale* const scales = delta.scales.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        // Contributions compose additively in registry order before
-        // the single per-gate scale is formed (DESIGN.md section 12).
-        double sum = 0.0;
-        for (std::size_t m = 0; m < num_mechs; ++m) {
-            sum += coef_[m] * mech_stress_[m * n + i];
+    for (std::size_t m = 0; m < num_mechs; ++m) {
+        const double c = coef_[m];
+        const double* const stress = mech_stress_.data() + m * n;
+        const bool first = m == 0;
+        const bool last = m + 1 == num_mechs;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double sum =
+                (first ? 0.0 : scales[i].factor) + c * stress[i];
+            scales[i] = {comb_gates_[i], last ? 1.0 + sum : sum};
         }
-        scales[i] = DelayDelta::GateScale{comb_gates_[i], 1.0 + sum};
     }
     append_defects(years, delta);
 }
@@ -180,7 +156,7 @@ void DeviceDegradation::fill_wearout(double years, DelayDelta& delta) const {
 const char* DeviceDegradation::dominant_mechanism(double years,
                                                   double* share) const {
     if (share) *share = 0.0;
-    if (!wearout_) return nullptr;
+    if (!wearout_->config().enabled) return nullptr;
     const std::size_t num_mechs = wearout_->num_mechanisms();
     double total = 0.0;
     double best = 0.0;
@@ -200,23 +176,6 @@ const char* DeviceDegradation::dominant_mechanism(double years,
     if (best_m == num_mechs || !(total > 0.0)) return nullptr;
     if (share) *share = best / total;
     return mechanism_name(wearout_->mechanism(best_m).kind);
-}
-
-void DeviceDegradation::fill_from_factor(double years, double factor,
-                                         DelayDelta& delta) const {
-    // In-place refresh instead of clear() + push_back: the scale list's
-    // shape (every combinational gate, ascending) is fixed per device
-    // and this runs once per lane per grid year in the campaign hot
-    // path.  Contents are bit-identical to the rebuild.
-    const double base_factor = factor - 1.0;
-    const std::size_t n = comb_gates_.size();
-    delta.scales.resize(n);
-    DelayDelta::GateScale* const scales = delta.scales.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        scales[i] = DelayDelta::GateScale{
-            comb_gates_[i], 1.0 + base_factor * comb_activity_[i]};
-    }
-    append_defects(years, delta);
 }
 
 void DeviceDegradation::append_defects(double years,
@@ -241,7 +200,12 @@ LifetimeSimulator::LifetimeSimulator(const Netlist& netlist,
       base_(&base),
       clock_period_(clock_period),
       shared_engine_(engine) {
-    degradation_.reset(netlist, model, seed, wearout);
+    if (!wearout) {
+        owned_wearout_ = std::make_unique<WearoutModel>(
+            netlist, base, WearoutConfig::legacy_preset());
+        wearout = owned_wearout_.get();
+    }
+    degradation_.reset(netlist, model, seed, *wearout);
     if (shared_engine_) shared_engine_->rebase(base);
 }
 
@@ -256,18 +220,14 @@ StaEngine& LifetimeSimulator::engine() const {
     return *owned_engine_;
 }
 
-void LifetimeSimulator::fill_delta(double years, DelayDelta& delta) const {
-    degradation_.fill_delta(years, delta);
-}
-
 DelayDelta LifetimeSimulator::degradation_delta(double years) const {
     DelayDelta delta;
-    fill_delta(years, delta);
+    degradation_.fill_delta(years, delta);
     return delta;
 }
 
 DelayAnnotation LifetimeSimulator::degraded(double years) const {
-    fill_delta(years, scratch_delta_);
+    degradation_.fill_delta(years, scratch_delta_);
     return base_->transformed(scratch_delta_);
 }
 
@@ -281,7 +241,7 @@ LifetimePoint LifetimeSimulator::evaluate(
 void LifetimeSimulator::evaluate_into(double years,
                                       const MonitorPlacement& placement,
                                       LifetimePoint& out) const {
-    fill_delta(years, scratch_delta_);
+    degradation_.fill_delta(years, scratch_delta_);
     const StaResult& sta = engine().update(scratch_delta_);
 
     out.years = years;

@@ -22,10 +22,9 @@
 #include "sim/fault_sim.hpp"
 #include "timing/sta_engine.hpp"
 #include "util/json.hpp"
+#include "wearout/wearout.hpp"
 
 namespace fastmon {
-
-class WearoutModel;
 
 /// Power-law delay degradation: factor(t) = 1 + A * (t / t_ref)^n.
 /// Typical BTI fits use n around 0.2-0.3 and A around 10 % at ten
@@ -35,16 +34,9 @@ struct AgingModel {
     double exponent = 0.25;
     double t_ref_years = 10.0;
 
+    /// Exactly 1.0 at years <= 0 (and NaN), so mission phases anchored
+    /// at t = 0 and pre-deployment queries are safe for every exponent.
     [[nodiscard]] double factor(double years) const;
-
-    /// The year-dependent part of factor(): (t / t_ref)^n for
-    /// years > 0, exactly 0.0 at years <= 0 (and NaN) — so mission
-    /// phases anchored at t = 0 and pre-deployment queries are safe
-    /// for every exponent.  factor(years) == 1 + amplitude *
-    /// pow_term(years) bit-for-bit, so a batch of devices differing
-    /// only in amplitude (the campaign's per-device jitter) can share
-    /// one pow() per year.
-    [[nodiscard]] double pow_term(double years) const;
 };
 
 /// An early-life marginal defect: initial extra delay delta0 at a fault
@@ -74,68 +66,54 @@ struct LifetimePoint {
 };
 
 /// Degradation state of one device: its aging model, per-gate
-/// aging-rate jitter, and accumulated marginal defects.  Renders the
-/// state at any lifetime point as a composable DelayDelta on the
-/// device's base annotation — the single formula both the scalar
-/// LifetimeSimulator and the batched campaign rollout evaluate, so the
-/// two paths degrade bit-identically.  reset() reuses the internal
-/// buffers, letting a batch lane cycle through many devices without
-/// reallocating.
+/// aging-rate jitter, and accumulated marginal defects, composed by a
+/// wear-out mechanism registry.  Renders the state at any lifetime
+/// point as a composable DelayDelta on the device's base annotation —
+/// the single formula both the scalar LifetimeSimulator and the
+/// batched campaign rollout evaluate, so the two paths degrade
+/// bit-identically.  The legacy single-knob aging is not a special
+/// case: it is the registry preset WearoutConfig::legacy_preset().
+/// reset() reuses the internal buffers, letting a batch lane cycle
+/// through many devices without reallocating.
 class DeviceDegradation {
 public:
     /// Re-seeds the state for a new device.  The jitter draw order
     /// (one uniform per gate, ascending id, stream seed ^ 0xA61713) is
-    /// part of the campaign determinism contract.  A non-null
-    /// `wearout` switches the fill to the multi-mechanism path: the
-    /// jitter draw is unchanged, per-mechanism stress is packed on top
-    /// of it, and the device's Weibull severity scales are drawn from
-    /// their own substreams (seed, wearout tag + mechanism).
+    /// part of the campaign determinism contract.  Per-mechanism
+    /// stress is packed on top of the jitter, and the device's Weibull
+    /// severity scales are drawn from their own substreams (seed,
+    /// wearout tag + mechanism).  `wearout` must outlive the state.
     void reset(const Netlist& netlist, AgingModel model, std::uint64_t seed,
-               const WearoutModel* wearout = nullptr);
+               const WearoutModel& wearout);
 
     void add_defect(MarginalDefect defect) { defects_.push_back(defect); }
 
     /// Overwrites `delta` with the degradation at `years`: per-gate
-    /// aging scales (ascending id) then defect extras (entry order).
-    /// With wear-out enabled the per-gate factor composes every
-    /// mechanism: 1 + sum_m coef_m(t) * stress_m[gate].
+    /// scales 1 + sum_m coef_m(t) * stress_m[gate] (ascending id,
+    /// mechanisms summed in registry order) then defect extras (entry
+    /// order).
     void fill_delta(double years, DelayDelta& delta) const;
-
-    /// Same, with the caller's precomputed model().pow_term(years):
-    /// lanes of a batch at the same grid year differ only in amplitude
-    /// and jitter, so one pow() serves the whole batch.  Bit-identical
-    /// to the two-argument overload when pow_term matches.  Under
-    /// wear-out the hint is ignored (mechanism curves are per-device);
-    /// BatchRollout disables its shared-term shortcut accordingly.
-    void fill_delta(double years, DelayDelta& delta, double pow_term) const;
 
     /// Name of the mechanism contributing the largest total delay
     /// degradation at `years` (coef_m(t) x summed gate stress), with
     /// its contribution share in `share` if non-null.  nullptr when
-    /// wear-out is off or nothing has degraded yet.
+    /// wear-out is off (the registry's config is not enabled, as in
+    /// the legacy preset) or nothing has degraded yet.
     [[nodiscard]] const char* dominant_mechanism(
         double years, double* share = nullptr) const;
 
-    [[nodiscard]] const AgingModel& model() const { return model_; }
-    [[nodiscard]] const WearoutModel* wearout() const { return wearout_; }
     [[nodiscard]] const std::vector<MarginalDefect>& defects() const {
         return defects_;
     }
 
 private:
-    void fill_from_factor(double years, double factor,
-                          DelayDelta& delta) const;
-    void fill_wearout(double years, DelayDelta& delta) const;
     void append_defects(double years, DelayDelta& delta) const;
     [[nodiscard]] double mechanism_coefficient(std::size_t m,
                                                double years) const;
     AgingModel model_;
-    std::vector<double> activity_;    ///< per-gate aging-rate jitter
     std::vector<GateId> comb_gates_;  ///< aging targets, ascending
-    /// activity_[comb_gates_[i]] packed for the fill loop.
-    std::vector<double> comb_activity_;
+    std::vector<double> jitter_;      ///< per packed gate, reset scratch
     std::vector<MarginalDefect> defects_;
-    /// Multi-mechanism wear-out state (null = legacy single-knob path).
     const WearoutModel* wearout_ = nullptr;
     /// Mechanism m's stress at packed gate i (gate stress x jitter),
     /// at [m * comb_gates_.size() + i].
@@ -154,8 +132,9 @@ public:
     /// degraded(years).  A non-null `engine` (constructed for the same
     /// netlist, margin 1.0) is rebased to `base` and reused — the
     /// campaign shares one engine per worker across its whole device
-    /// shard.  A non-null `wearout` degrades via the multi-mechanism
-    /// registry instead of the single power-law knob.
+    /// shard.  `wearout` is the mechanism registry to degrade through;
+    /// null builds and owns the legacy preset
+    /// (WearoutConfig::legacy_preset()), the single power-law knob.
     LifetimeSimulator(const Netlist& netlist, const DelayAnnotation& base,
                       Time clock_period, AgingModel model,
                       std::uint64_t seed = 1, StaEngine* engine = nullptr,
@@ -200,7 +179,6 @@ public:
     }
 
 private:
-    void fill_delta(double years, DelayDelta& delta) const;
     StaEngine& engine() const;
 
     const Netlist* netlist_;
@@ -213,6 +191,8 @@ private:
     /// instance (each campaign worker owns its simulators).
     StaEngine* shared_engine_ = nullptr;
     mutable std::unique_ptr<StaEngine> owned_engine_;
+    /// The legacy preset, when the caller passed no registry.
+    std::unique_ptr<WearoutModel> owned_wearout_;
     mutable DelayDelta scratch_delta_;
 };
 

@@ -420,4 +420,17 @@ std::optional<Json> Json::parse(std::string_view text, std::string* error) {
     return value;
 }
 
+std::optional<std::uint64_t> json_uint(const Json& j, std::uint64_t max) {
+    if (!j.is_number()) return std::nullopt;
+    const double v = j.as_number();
+    // 2^64 is the first double past the uint64 range; the negated
+    // comparison also rejects NaN.
+    if (!(v >= 0.0 && v < 18446744073709551616.0) || v != std::floor(v)) {
+        return std::nullopt;
+    }
+    const auto u = static_cast<std::uint64_t>(v);
+    if (u > max) return std::nullopt;
+    return u;
+}
+
 }  // namespace fastmon

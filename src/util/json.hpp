@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -120,5 +121,22 @@ private:
     JsonArray arr_;
     JsonObject obj_;
 };
+
+/// `j` as an unsigned integer no larger than `max`: a number that is
+/// integral, non-negative and in range; std::nullopt for anything else
+/// (a fraction, a negative, NaN or inf, too large, not a number).  The
+/// checked read for integer fields of checkpoint, shard and cache
+/// files, where a bare static_cast would truncate or wrap silently.
+[[nodiscard]] std::optional<std::uint64_t> json_uint(const Json& j,
+                                                     std::uint64_t max);
+
+/// Same, bounded by the range of T.
+template <typename T>
+    requires std::is_unsigned_v<T>
+[[nodiscard]] std::optional<T> json_uint(const Json& j) {
+    const auto v = json_uint(j, std::numeric_limits<T>::max());
+    if (!v) return std::nullopt;
+    return static_cast<T>(*v);
+}
 
 }  // namespace fastmon

@@ -1,7 +1,5 @@
 #include "wearout/activity.hpp"
 
-#include <cmath>
-
 #include "sim/wave_sim.hpp"
 #include "util/prng.hpp"
 
@@ -57,11 +55,11 @@ std::optional<ActivityConfig> ActivityConfig::from_json(const Json& j) {
     } else {
         return std::nullopt;
     }
-    if (pairs->as_number() < 1.0 || !std::isfinite(pairs->as_number())) {
-        return std::nullopt;
-    }
-    cfg.num_pattern_pairs = static_cast<std::size_t>(pairs->as_number());
-    cfg.seed = static_cast<std::uint64_t>(seed->as_number());
+    const auto num_pairs = json_uint<std::size_t>(*pairs);
+    const auto seed_value = json_uint<std::uint64_t>(*seed);
+    if (!num_pairs || *num_pairs < 1 || !seed_value) return std::nullopt;
+    cfg.num_pattern_pairs = *num_pairs;
+    cfg.seed = *seed_value;
     return cfg;
 }
 

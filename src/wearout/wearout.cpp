@@ -30,6 +30,14 @@ void append_point(std::string& out, const OperatingPoint& op) {
 
 }  // namespace
 
+WearoutConfig WearoutConfig::legacy_preset() {
+    WearoutConfig preset;
+    preset.mechanisms = {
+        MechanismConfig::defaults(MechanismKind::LegacyPowerLaw)};
+    preset.activity.mode = ActivityConfig::Mode::Constant;
+    return preset;
+}
+
 std::vector<MechanismConfig> WearoutConfig::resolved_mechanisms() const {
     if (!mechanisms.empty()) return mechanisms;
     std::vector<MechanismConfig> defaults;

@@ -25,8 +25,11 @@
 namespace fastmon {
 
 struct WearoutConfig {
-    /// Off by default: the campaign uses the legacy AgingModel path
-    /// untouched, preserving seed-state outputs bit-for-bit.
+    /// Off by default: the campaign degrades through legacy_preset()
+    /// instead of this config, and neither joins the fingerprint nor
+    /// the report, preserving seed-state outputs bit-for-bit.  Also
+    /// gates the per-device dominant-mechanism attribution, which the
+    /// model reads off its config.
     bool enabled = false;
     /// Resolved mission profile (the CLI resolves --mission-profile
     /// before run_campaign so the canonical string never does file
@@ -39,6 +42,13 @@ struct WearoutConfig {
     ActivityConfig activity;
     /// Stress reference all mechanism rates are relative to.
     OperatingPoint reference;
+
+    /// The legacy single-knob aging as a registry: only the
+    /// legacy_powerlaw mechanism, Constant activity and an empty
+    /// mission (reference conditions forever), left disabled.  Its fill
+    /// is 1 + (AgingModel::factor(t) - 1) * jitter per gate — the
+    /// pre-registry degradation, bit-for-bit.
+    [[nodiscard]] static WearoutConfig legacy_preset();
 
     /// The registry with the empty-means-default rule applied.
     [[nodiscard]] std::vector<MechanismConfig> resolved_mechanisms() const;
@@ -66,9 +76,7 @@ public:
     [[nodiscard]] const MechanismConfig& mechanism(std::size_t m) const {
         return mechanisms_[m];
     }
-    [[nodiscard]] const MissionProfile& mission() const {
-        return config_.mission;
-    }
+    [[nodiscard]] const WearoutConfig& config() const { return config_; }
 
     /// Equivalent stress time of mechanism `m` after `years` under the
     /// mission (== max(years, 0) for an empty mission).

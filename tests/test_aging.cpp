@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "netlist/iscas_data.hpp"
 #include "timing/sta_engine.hpp"
+#include "util/prng.hpp"
+#include "wearout/wearout.hpp"
 
 namespace fastmon {
 namespace {
@@ -27,29 +31,30 @@ TEST(AgingModel, FactorMonotoneAndAnchored) {
     }
 }
 
-TEST(AgingModel, PowTermIsZeroAtAndBeforeDeployment) {
+TEST(AgingModel, FactorIsOneAtAndBeforeDeployment) {
     AgingModel m;
     m.amplitude = 0.2;
     m.exponent = 0.3;
     m.t_ref_years = 10.0;
-    // years <= 0 must be exactly 0.0 for every exponent: pow(0, n)
-    // raises domain errors for n < 0 and pow(negative, 0.3) is NaN, so
-    // the mission-profile path (which queries tau = 0 at deployment)
-    // relies on the explicit guard.
-    EXPECT_EQ(m.pow_term(0.0), 0.0);
-    EXPECT_EQ(m.pow_term(-5.0), 0.0);
-    EXPECT_EQ(m.pow_term(std::numeric_limits<double>::quiet_NaN()), 0.0);
+    // years <= 0 (and NaN) must give exactly 1.0 for every exponent:
+    // pow(0, n) raises domain errors for n < 0 and pow(negative, 0.3)
+    // is NaN, so the mission-profile path (which queries tau = 0 at
+    // deployment) relies on the explicit guard.
+    EXPECT_EQ(m.factor(0.0), 1.0);
+    EXPECT_EQ(m.factor(-5.0), 1.0);
+    EXPECT_EQ(m.factor(std::numeric_limits<double>::quiet_NaN()), 1.0);
     AgingModel inverse = m;
     inverse.exponent = -0.5;
-    EXPECT_EQ(inverse.pow_term(0.0), 0.0);
-    EXPECT_TRUE(std::isfinite(inverse.pow_term(0.0)));
-    // The factor identity holds bit-for-bit on the positive branch...
+    EXPECT_EQ(inverse.factor(0.0), 1.0);
+    EXPECT_EQ(inverse.factor(-1.0), 1.0);
+    EXPECT_TRUE(std::isfinite(inverse.factor(1e-300)));
+    // The closed form holds bit-for-bit on the positive branch and
+    // anchors at exactly 1 + amplitude at t_ref.
     for (double y : {0.25, 1.0, 7.5, 10.0, 14.75}) {
-        EXPECT_EQ(m.factor(y), 1.0 + m.amplitude * m.pow_term(y));
+        EXPECT_EQ(m.factor(y),
+                  1.0 + m.amplitude * std::pow(y / m.t_ref_years, m.exponent));
     }
-    // ...and anchors at exactly 1 at t_ref and 1.0 flat before t = 0.
-    EXPECT_DOUBLE_EQ(m.pow_term(10.0), 1.0);
-    EXPECT_EQ(m.factor(-1.0), 1.0);
+    EXPECT_DOUBLE_EQ(m.factor(10.0), 1.2);
 }
 
 TEST(AgingModel, SublinearExponentFrontLoads) {
@@ -184,6 +189,63 @@ TEST_F(AgingFixture, DegradedAnnotationScalesArcs) {
             EXPECT_GE(ratio, 1.0 + 0.5 * 0.5 - 1e-9);
             EXPECT_LE(ratio, 1.0 + 0.5 * 1.5 + 1e-9);
         }
+    }
+}
+
+TEST_F(AgingFixture, LegacyPresetFillMatchesClosedForm) {
+    // Independent oracle for the registry fill under the legacy preset:
+    // gate g's scale is 1 + (factor(y) - 1) * u_g, bit-for-bit, with
+    // u_g the documented jitter draw (Prng(seed ^ 0xA61713), one
+    // uniform(0.5, 1.5) per gate in ascending id); defect extras follow
+    // in entry order.
+    const WearoutModel preset(nl, base, WearoutConfig::legacy_preset());
+    const AgingModel model{0.13, 0.27, 10.0};
+    const std::uint64_t seed = 77;
+    DeviceDegradation degradation;
+    degradation.reset(nl, model, seed, preset);
+    std::vector<GateId> comb;
+    for (GateId id = 0; id < nl.size(); ++id) {
+        if (is_combinational(nl.gate(id).type)) comb.push_back(id);
+    }
+    ASSERT_GE(comb.size(), 2u);
+    const MarginalDefect output_defect{
+        FaultSite{comb.front(), FaultSite::kOutputPin}, 0.5, 0.8, 3.0};
+    const MarginalDefect pin_defect{FaultSite{comb.back(), 0}, 0.25, 1.5,
+                                    0.0};
+    degradation.add_defect(output_defect);
+    degradation.add_defect(pin_defect);
+
+    Prng rng(seed ^ 0xA61713ULL);
+    std::vector<double> jitter(nl.size());
+    for (double& u : jitter) u = rng.uniform(0.5, 1.5);
+
+    std::vector<double> years = {0.0, -2.5,
+                                 std::numeric_limits<double>::quiet_NaN()};
+    for (int i = 0; i <= 60; ++i) years.push_back(0.25 * i);
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    DelayDelta delta;
+    for (const double y : years) {
+        degradation.fill_delta(y, delta);
+        ASSERT_EQ(delta.scales.size(), comb.size()) << y;
+        for (std::size_t k = 0; k < comb.size(); ++k) {
+            const double expected =
+                1.0 + (model.factor(y) - 1.0) * jitter[comb[k]];
+            EXPECT_EQ(delta.scales[k].gate, comb[k]);
+            EXPECT_EQ(bits(delta.scales[k].factor), bits(expected))
+                << "year " << y << " gate " << comb[k];
+        }
+        // The defects carry positive deltas at every year (negative
+        // and NaN years clamp to deployment).
+        ASSERT_EQ(delta.extras.size(), 2u) << y;
+        EXPECT_EQ(delta.extras[0].gate, comb.front());
+        EXPECT_EQ(delta.extras[0].pin, DelayDelta::kAllPins);
+        EXPECT_EQ(bits(delta.extras[0].extra),
+                  bits(output_defect.delta_at(y)));
+        EXPECT_EQ(delta.extras[1].gate, comb.back());
+        EXPECT_EQ(delta.extras[1].pin, 0u);
+        EXPECT_EQ(bits(delta.extras[1].extra), bits(pin_defect.delta_at(y)));
+        // The preset is disabled wear-out: no attribution.
+        EXPECT_EQ(degradation.dominant_mechanism(y), nullptr);
     }
 }
 

@@ -4,9 +4,11 @@
 // nullopt instead of garbage values.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "campaign/aggregate.hpp"
+#include "campaign/fleet.hpp"
 #include "campaign/rollout.hpp"
 #include "flow/hdf_flow.hpp"
 #include "monitor/aging.hpp"
@@ -191,14 +193,22 @@ TEST(JsonRoundtrip, WearoutRejectsUnphysicalValues) {
     jk.set("weibull_beta", 0.0);
     expect_rejected<MechanismConfig>(jk);
 
-    // Activity: unknown mode, zero pattern pairs.
+    // Activity: unknown mode, zero, fractional, negative or
+    // out-of-range pattern pairs, a non-integral or negative seed.
     ActivityConfig act;
     Json ja = act.to_json();
     ja.set("mode", "psychic");
     expect_rejected<ActivityConfig>(ja);
-    ja = act.to_json();
-    ja.set("num_pattern_pairs", 0);
-    expect_rejected<ActivityConfig>(ja);
+    for (const double bad : {0.0, 2.5, -1.0, 1e300}) {
+        ja = act.to_json();
+        ja.set("num_pattern_pairs", bad);
+        expect_rejected<ActivityConfig>(ja);
+    }
+    for (const double bad : {0.5, -1.0, 18446744073709551616.0}) {
+        ja = act.to_json();
+        ja.set("seed", bad);
+        expect_rejected<ActivityConfig>(ja);
+    }
 
     // Outcome: attribution share without a mechanism name is malformed.
     DeviceOutcome out;
@@ -243,6 +253,43 @@ TEST(JsonRoundtrip, RejectsWrongShapes) {
     Json j5 = c.to_json();
     j5.set("conv", true);
     expect_rejected<CoverageBySpeed>(j5);
+
+    // Integer fields read back from checkpoint, shard and cache files:
+    // a fraction, a negative, one past the 32-bit range (which a bare
+    // cast would wrap to device 0), NaN and inf are all rejected.
+    const double bad_uint32[] = {2.5, -1.0, 4294967296.0,
+                                 std::numeric_limits<double>::quiet_NaN(),
+                                 std::numeric_limits<double>::infinity()};
+    for (const double bad : bad_uint32) {
+        for (const char* key : {"index", "num_defects"}) {
+            Json jo = DeviceOutcome{}.to_json();
+            jo.set(key, bad);
+            expect_rejected<DeviceOutcome>(jo);
+        }
+        for (const char* key : {"shard_index", "shard_count", "attempts"}) {
+            FleetJob job;
+            job.id = "shard-0";
+            Json jf = job.to_json();
+            jf.set(key, bad);
+            EXPECT_FALSE(FleetJob::from_json(jf).has_value()) << key;
+        }
+    }
+    for (const double bad : {2.5, -1.0, 1e300}) {
+        Json jd = d.to_json();
+        jd.set("count", bad);
+        expect_rejected<DistributionSummary>(jd);
+        for (const char* key :
+             {"num_frequencies", "naive_pc", "schedule_size"}) {
+            Json jr = r.to_json();
+            jr.set(key, bad);
+            expect_rejected<CoverageRow>(jr);
+        }
+    }
+    // The largest valid values still parse.
+    DeviceOutcome edge;
+    edge.index = 4294967295u;
+    edge.num_defects = 4294967295u;
+    expect_roundtrip(edge);
 }
 
 }  // namespace

@@ -152,6 +152,26 @@ TEST_F(ShardTest, TamperedAggregateIsRejectedEvenWithFixedChecksum) {
     EXPECT_NE(error.find("aggregate"), std::string::npos) << error;
 }
 
+TEST_F(ShardTest, NonIntegerCoordinatesAreRejected) {
+    // Re-checksummed, so the checked integer read itself must catch a
+    // fraction, a negative, or a value past the 64-bit range.
+    const Json doc = run_shard(0, 2).to_json();
+    for (const char* key : {"shard_index", "shard_count", "population",
+                            "range_begin", "range_end"}) {
+        for (const double bad : {0.5, -1.0, 18446744073709551616.0}) {
+            Json payload = *doc.find("payload");
+            payload.set(key, bad);
+            Json tampered = doc;
+            tampered.set("checksum", fingerprint_hex(checkpoint_fingerprint(
+                                         payload.dump(0))));
+            tampered.set("payload", std::move(payload));
+            std::string error;
+            EXPECT_FALSE(ShardResult::from_json(tampered, &error))
+                << key << " = " << bad;
+        }
+    }
+}
+
 TEST_F(ShardTest, MergedReportBitIdenticalAtShardCounts124) {
     const CampaignConfig plain = config();
     const Json reference = run_campaign(nl_, plain).to_json(plain);
