@@ -114,6 +114,141 @@ void poll_shard_faults() {
     }
 }
 
+/// What every shard of one campaign shares: the read-only rollout
+/// inputs and the sinks outcomes go to (a shard writes only the slots
+/// of its own device range).
+struct ShardEnv {
+    const CampaignConfig& config;
+    const RolloutContext& ctx;
+    const std::vector<GateId>& sites;
+    std::size_t batch_width;
+    std::vector<std::optional<DeviceOutcome>>& slots;
+    ProgressReporter* reporter;
+    CampaignSketches& sketches;
+};
+
+/// Rolls the pending devices of [begin, end) through one kernel: the
+/// shard pulls one device at a time and emits each finished outcome,
+/// so it never buffers more samples than the kernel has lanes.  Width 1
+/// is the scalar reference kernel on one incremental engine (the first
+/// device builds the arenas, later devices rebase onto them); wider
+/// widths stream through one BatchRollout that refills a lane the
+/// moment its device settles.  Resumed devices are skipped, so lanes
+/// carry non-contiguous indices — each device is a pure function of its
+/// own seed, so lane placement cannot change its outcome.
+void roll_shard(const ShardEnv& env, std::size_t begin, std::size_t end) {
+    const TraceSpan shard_span("campaign_shard", "campaign");
+    const CancelToken& token = CancelToken::global();
+    MetricsRegistry& metrics = MetricsRegistry::global();
+    const RolloutContext& ctx = env.ctx;
+    ProgressReporter::WorkerSlot* slot =
+        env.reporter ? &env.reporter->slot_for_this_thread() : nullptr;
+    WorkerSketches local;
+    std::unique_ptr<StaEngine> engine;
+    std::unique_ptr<BatchRollout> rollout;
+    if (env.batch_width > 1) {
+        rollout = std::make_unique<BatchRollout>(ctx, env.batch_width);
+    }
+
+    // Roll wall = shard wall outside pulls (sampling), cut at every
+    // emit: each outcome records the roll time since the previous one,
+    // the amortised per-device cost of the streaming kernel.
+    std::uint64_t mark = telemetry_now_ns();
+    std::uint64_t roll_ns = 0;
+
+    // Pull: the next pending device, or null once the range is done or
+    // a cancel is requested (device-boundary poll).  One trace span per
+    // pull keeps sampling visible in the trace.
+    DeviceSample pulled;
+    std::size_t next = begin;
+    const auto pull = [&](std::size_t& index) -> const DeviceSample* {
+        roll_ns += telemetry_now_ns() - mark;
+        const TraceSpan pop("campaign_population", "campaign");
+        const DeviceSample* sample = nullptr;
+        for (; next < end && !token.cancelled(); ++next) {
+            poll_shard_faults();
+            if (env.slots[next]) continue;  // resumed from checkpoint
+            pulled = sample_device(env.config.model, env.config.seed,
+                                   static_cast<std::uint32_t>(next),
+                                   env.sites, ctx.clock_period);
+            index = next++;
+            sample = &pulled;
+            break;
+        }
+        mark = telemetry_now_ns();
+        return sample;
+    };
+
+    // Emit: slot write, sketches and heartbeat counters.  Counters are
+    // diffed from the rollout's cumulative stats, so the SoA lane loops
+    // run untouched.  Heartbeat "batches" counts STA passes (the scalar
+    // kernel takes one per grid year), so lane_years / batches is the
+    // mean number of live lanes per pass.
+    std::uint64_t seen_lane_years = 0;
+    std::uint64_t seen_settled = 0;
+    std::uint64_t seen_passes = 0;
+    const auto emit = [&](std::size_t index, DeviceOutcome& out) {
+        const std::uint64_t now = telemetry_now_ns();
+        const std::uint64_t dt = roll_ns + (now - mark);
+        roll_ns = 0;
+        mark = now;
+        local.roll_latency_us.record(static_cast<double>(dt) * 1e-3);
+        local.record_outcome(out);
+        env.slots[index] = std::move(out);
+        if (!slot) return;
+        // The scalar kernel evaluates the full grid for every device
+        // (no early settling).
+        std::uint64_t lane_years = ctx.grid.size();
+        std::uint64_t settled = 0;
+        std::uint64_t passes = ctx.grid.size();
+        if (rollout) {
+            const BatchRollout::Stats& bs = rollout->stats();
+            const std::uint64_t bp = rollout->engine_stats().batch_passes;
+            lane_years = bs.lane_years - seen_lane_years;
+            settled = bs.lanes_settled_early - seen_settled;
+            passes = bp - seen_passes;
+            seen_lane_years = bs.lane_years;
+            seen_settled = bs.lanes_settled_early;
+            seen_passes = bp;
+        }
+        slot->devices.fetch_add(1, std::memory_order_relaxed);
+        slot->batches.fetch_add(passes, std::memory_order_relaxed);
+        slot->lane_years.fetch_add(lane_years, std::memory_order_relaxed);
+        slot->settled_early.fetch_add(settled, std::memory_order_relaxed);
+        slot->busy_ns.fetch_add(dt, std::memory_order_relaxed);
+    };
+
+    if (rollout) {
+        rollout->stream(pull, emit);
+    } else {
+        std::size_t index = 0;
+        while (const DeviceSample* sample = pull(index)) {
+            DeviceOutcome out = roll_device(ctx, *sample, &engine);
+            emit(index, out);
+        }
+    }
+    env.sketches.merge(local);
+    if (engine) {
+        const StaEngine::Stats& es = engine->stats();
+        metrics.counter("campaign.sta_full_passes").add(es.full_passes);
+        metrics.counter("campaign.sta_dense_updates").add(es.dense_updates);
+        metrics.counter("campaign.sta_rebases").add(es.rebases);
+    }
+    if (rollout && rollout->stats().devices > 0) {
+        const BatchRollout::Stats& bs = rollout->stats();
+        metrics.counter("campaign.batch_batches").add(bs.batches);
+        metrics.counter("campaign.batch_devices").add(bs.devices);
+        metrics.counter("campaign.batch_lane_years").add(bs.lane_years);
+        metrics.counter("campaign.batch_lanes_settled_early")
+            .add(bs.lanes_settled_early);
+        const BatchStaEngine::Stats& es = rollout->engine_stats();
+        metrics.counter("campaign.batch_sta_passes").add(es.batch_passes);
+        metrics.counter("campaign.batch_sta_lane_loads").add(es.lane_loads);
+        metrics.counter("campaign.batch_sta_lanes_retired")
+            .add(es.lanes_retired);
+    }
+}
+
 }  // namespace
 
 std::pair<std::size_t, std::size_t> shard_device_range(
@@ -386,129 +521,9 @@ CampaignResult run_campaign(const Netlist& netlist,
             pool = &ThreadPool::shared();
         }
 
-        const std::size_t batch_width = resolve_batch_width(config);
-        result.batch_width = batch_width;
-
-        const auto roll_range = [&](std::size_t begin, std::size_t end) {
-            // One kernel per shard; the shard's pending devices are
-            // gathered `batch_width` at a time and flushed through it.
-            // Width 1 is the scalar reference kernel on one incremental
-            // engine (the first device builds the arenas, later devices
-            // rebase onto them); wider batches share one BatchRollout.
-            // Resumed devices are skipped, so a batch may span
-            // non-contiguous indices — each device is a pure function
-            // of its own seed, so lane placement cannot change its
-            // outcome.
-            const TraceSpan shard_span("campaign_shard", "campaign");
-            std::unique_ptr<StaEngine> engine;
-            std::unique_ptr<BatchRollout> rollout;
-            std::vector<DeviceSample> samples;
-            std::vector<DeviceOutcome> outcomes;
-            std::vector<std::size_t> indices;
-            samples.reserve(batch_width);
-            indices.reserve(batch_width);
-            ProgressReporter::WorkerSlot* slot =
-                reporter ? &reporter->slot_for_this_thread() : nullptr;
-            WorkerSketches local;
-            // Counters are sampled at batch boundaries only — the SoA
-            // lane loops run untouched — by diffing the rollout's
-            // cumulative stats across flushes.
-            std::uint64_t seen_lane_years = 0;
-            std::uint64_t seen_settled = 0;
-            const auto flush = [&] {
-                if (indices.empty()) return;
-                const std::uint64_t t0 = telemetry_now_ns();
-                const auto n = static_cast<std::uint64_t>(indices.size());
-                outcomes.resize(indices.size());
-                // The scalar kernel evaluates the full grid for every
-                // device (no early retirement).
-                std::uint64_t lane_years = n * ctx.grid.size();
-                std::uint64_t settled = 0;
-                if (batch_width > 1) {
-                    if (!rollout) {
-                        rollout = std::make_unique<BatchRollout>(ctx);
-                    }
-                    rollout->roll(samples, outcomes);
-                    const BatchRollout::Stats& bs = rollout->stats();
-                    lane_years = bs.lane_years - seen_lane_years;
-                    settled = bs.lanes_settled_early - seen_settled;
-                    seen_lane_years = bs.lane_years;
-                    seen_settled = bs.lanes_settled_early;
-                } else {
-                    for (std::size_t k = 0; k < samples.size(); ++k) {
-                        outcomes[k] = roll_device(ctx, samples[k], &engine);
-                    }
-                }
-                const std::uint64_t dt = telemetry_now_ns() - t0;
-                // Per-device roll latency at batch granularity: the
-                // batch wall split evenly over its lanes.
-                local.roll_latency_us.record(
-                    static_cast<double>(dt) * 1e-3 / static_cast<double>(n),
-                    n);
-                for (std::size_t k = 0; k < indices.size(); ++k) {
-                    local.record_outcome(outcomes[k]);
-                    slots[indices[k]] = std::move(outcomes[k]);
-                }
-                if (slot) {
-                    slot->devices.fetch_add(n, std::memory_order_relaxed);
-                    slot->batches.fetch_add(1, std::memory_order_relaxed);
-                    slot->lane_years.fetch_add(lane_years,
-                                               std::memory_order_relaxed);
-                    slot->settled_early.fetch_add(settled,
-                                                  std::memory_order_relaxed);
-                    slot->busy_ns.fetch_add(dt, std::memory_order_relaxed);
-                }
-                samples.clear();
-                indices.clear();
-            };
-            // Gather up to one batch of pending samples from [i, end);
-            // one trace span per batch keeps sampling visible without
-            // per-device span noise.
-            const auto gather = [&](std::size_t& i) {
-                const TraceSpan pop("campaign_population", "campaign");
-                for (; i < end && indices.size() < batch_width; ++i) {
-                    if (token.cancelled()) return;  // device-boundary poll
-                    poll_shard_faults();
-                    if (slots[i]) continue;  // resumed from checkpoint
-                    samples.push_back(sample_device(
-                        config.model, config.seed,
-                        static_cast<std::uint32_t>(i), sites,
-                        ctx.clock_period));
-                    indices.push_back(i);
-                }
-            };
-            std::size_t i = begin;
-            while (i < end && !token.cancelled()) {
-                gather(i);
-                if (indices.size() == batch_width) flush();
-            }
-            if (!token.cancelled()) flush();    // ragged shard tail
-            sketches.merge(local);
-            if (engine) {
-                const StaEngine::Stats& es = engine->stats();
-                metrics.counter("campaign.sta_full_passes")
-                    .add(es.full_passes);
-                metrics.counter("campaign.sta_dense_updates")
-                    .add(es.dense_updates);
-                metrics.counter("campaign.sta_rebases").add(es.rebases);
-            }
-            if (rollout) {
-                const BatchRollout::Stats& bs = rollout->stats();
-                metrics.counter("campaign.batch_batches").add(bs.batches);
-                metrics.counter("campaign.batch_devices").add(bs.devices);
-                metrics.counter("campaign.batch_lane_years")
-                    .add(bs.lane_years);
-                metrics.counter("campaign.batch_lanes_settled_early")
-                    .add(bs.lanes_settled_early);
-                const BatchStaEngine::Stats& es = rollout->engine_stats();
-                metrics.counter("campaign.batch_sta_passes")
-                    .add(es.batch_passes);
-                metrics.counter("campaign.batch_sta_lane_loads")
-                    .add(es.lane_loads);
-                metrics.counter("campaign.batch_sta_lanes_retired")
-                    .add(es.lanes_retired);
-            }
-        };
+        result.batch_width = resolve_batch_width(config);
+        const ShardEnv env{config, ctx,           sites,   result.batch_width,
+                           slots,  reporter.get(), sketches};
 
         const auto save_snapshot = [&] {
             if (config.checkpoint_path.empty()) return;
@@ -539,10 +554,10 @@ CampaignResult run_campaign(const Netlist& netlist,
                 if (pool) {
                     pool->parallel_chunks(
                         end - begin, 0, [&](std::size_t b, std::size_t e) {
-                            roll_range(begin + b, begin + e);
+                            roll_shard(env, begin + b, begin + e);
                         });
                 } else {
-                    roll_range(begin, end);
+                    roll_shard(env, begin, end);
                 }
                 if (end < range_end || token.cancelled()) {
                     save_snapshot();

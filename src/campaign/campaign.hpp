@@ -59,7 +59,8 @@ struct CampaignConfig {
     /// fingerprint mismatch degrades to a fresh start, recorded in the
     /// status block).
     bool resume = false;
-    /// Devices rolled per batched STA pass.  0 = the compiled column
+    /// Live lanes per batched STA pass (a settled lane takes the
+    /// shard's next device at once).  0 = the compiled column
     /// width (the FASTMON_BATCH_WIDTH CMake option, default 8).  1 =
     /// the scalar StaEngine per device (the reference path for the
     /// batched differential); larger values clamp to the compiled

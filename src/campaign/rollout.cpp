@@ -211,7 +211,7 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
     return out;
 }
 
-BatchRollout::BatchRollout(const RolloutContext& ctx)
+BatchRollout::BatchRollout(const RolloutContext& ctx, std::size_t lanes)
     : ctx_(&ctx),
       nominal_(DelayAnnotation::nominal(*ctx.netlist)),
       engine_(*ctx.netlist, nominal_, 1.0),
@@ -219,7 +219,8 @@ BatchRollout::BatchRollout(const RolloutContext& ctx)
                                  : std::make_unique<WearoutModel>(
                                        *ctx.netlist, nominal_,
                                        WearoutConfig::legacy_preset())),
-      wearout_(ctx.wearout ? ctx.wearout : owned_wearout_.get()) {
+      wearout_(ctx.wearout ? ctx.wearout : owned_wearout_.get()),
+      lanes_(std::clamp<std::size_t>(lanes, 1, kBatchWidth)) {
     const auto ops = ctx.netlist->observe_points();
     const MonitorPlacement& placement = *ctx.placement;
     for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
@@ -231,52 +232,78 @@ BatchRollout::BatchRollout(const RolloutContext& ctx)
 
 void BatchRollout::roll(std::span<const DeviceSample> samples,
                         std::span<DeviceOutcome> outcomes) {
-    const std::size_t n = samples.size();
-    assert(n >= 1 && n <= kBatchWidth);
-    assert(outcomes.size() >= n);
-    const MonitorPlacement& placement = *ctx_->placement;
-    const std::size_t num_configs = placement.config_delays.size();
+    assert(!samples.empty());
+    assert(outcomes.size() >= samples.size());
+    std::size_t next = 0;
+    stream(
+        [&](std::size_t& slot) -> const DeviceSample* {
+            if (next == samples.size()) return nullptr;
+            slot = next;
+            return &samples[next++];
+        },
+        [&](std::size_t slot, DeviceOutcome& out) {
+            outcomes[slot] = std::move(out);
+        });
+}
 
-    for (std::size_t l = 0; l < n; ++l) {
-        const DeviceSample& sample = samples[l];
+bool BatchRollout::load_next(std::size_t lane, const Pull& pull) {
+    const std::size_t num_configs = ctx_->placement->config_delays.size();
+    std::size_t slot = 0;
+    if (const DeviceSample* sample = pull(slot)) {
         // Lane column = nominal arcs scaled by the device's variation
         // factors — the same bits with_lognormal_variation would
         // produce, without the annotation copy.
         DelayAnnotation::lognormal_variation_factors(
-            *ctx_->netlist, ctx_->variation_sigma_log, sample.seed, factors_);
-        engine_.load_lane(l, factors_);
-        degradation_[l].reset(*ctx_->netlist, sample.aging, sample.seed,
-                              *wearout_);
-        for (const MarginalDefect& defect : sample.defects) {
-            degradation_[l].add_defect(defect);
+            *ctx_->netlist, ctx_->variation_sigma_log, sample->seed,
+            factors_);
+        engine_.load_lane(lane, factors_);
+        degradation_[lane].reset(*ctx_->netlist, sample->aging, sample->seed,
+                                 *wearout_);
+        for (const MarginalDefect& defect : sample->defects) {
+            degradation_[lane].add_defect(defect);
         }
-        settled_[l] = 0;
-        outcomes[l] = begin_outcome(sample, num_configs);
+        outcome_[lane] = begin_outcome(*sample, num_configs);
+        year_[lane] = 0;
+        slot_[lane] = slot;
+        return true;
     }
-    for (std::size_t l = n; l < kBatchWidth; ++l) {
-        engine_.retire_lane(l);  // ragged final batch
+    engine_.retire_lane(lane);
+    return false;
+}
+
+void BatchRollout::stream(const Pull& pull, const Emit& emit) {
+    const MonitorPlacement& placement = *ctx_->placement;
+    const std::size_t num_configs = placement.config_delays.size();
+    const std::vector<double>& grid = ctx_->grid;
+    assert(!grid.empty());
+
+    std::size_t live = 0;
+    for (std::size_t l = 0; l < kBatchWidth; ++l) {
+        if (l < lanes_ && load_next(l, pull)) {
+            ++live;
+        } else {
+            engine_.retire_lane(l);
+        }
     }
 
     const Time* const arr = engine_.max_arrival_data();
-    for (const double year : ctx_->grid) {
+    while (live > 0) {
         // Every lane's delta comes from the same DeviceDegradation
         // formula (all combinational gates, ascending): the shape
-        // BatchDelayDelta requires.
+        // BatchDelayDelta requires.  Each lane degrades to its own
+        // grid year.
         batch_delta_.clear();
-        bool any_active = false;
-        for (std::size_t l = 0; l < n; ++l) {
-            if (settled_[l]) continue;
-            degradation_[l].fill_delta(year, lane_delta_[l]);
+        for (std::size_t l = 0; l < lanes_; ++l) {
+            if (!engine_.lane_active(l)) continue;
+            degradation_[l].fill_delta(grid[year_[l]], lane_delta_[l]);
             batch_delta_.set(l, &lane_delta_[l]);
-            any_active = true;
         }
-        if (!any_active) break;  // whole batch settled before horizon
         engine_.update(batch_delta_);
 
         // Batch-wide monitored reduction, lane-innermost over the
         // hoisted signal list: the same max sequence per lane as
         // evaluate_into's monitored branch (op order preserved), so the
-        // result is bit-identical; settled lanes compute too, unread.
+        // result is bit-identical; retired lanes compute too, unread.
         Time wm[kBatchWidth];
         for (std::size_t l = 0; l < kBatchWidth; ++l) wm[l] = 0.0;
         for (const GateId sig : monitored_signals_) {
@@ -286,17 +313,18 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
                 wm[l] = std::max(wm[l], row[l]);
             }
         }
-        for (std::size_t l = 0; l < n; ++l) {
-            if (settled_[l]) continue;
+        for (std::size_t l = 0; l < lanes_; ++l) {
+            if (!engine_.lane_active(l)) continue;
             ++stats_.lane_years;
             // Same formulas and order as LifetimeSimulator's
             // evaluate_into + roll_device's recording.  The engine's
             // critical-path refresh already runs evaluate_into's
             // worst-arrival reduction (same observe points, same order,
             // same 0.0 seed), so worst is read off the engine.
+            const double year = grid[year_[l]];
             const Time worst_monitored = wm[l];
             const Time worst = engine_.critical_path_length(l);
-            DeviceOutcome& out = outcomes[l];
+            DeviceOutcome& out = outcome_[l];
             bool done = true;
             for (std::size_t c = 1; c < num_configs; ++c) {
                 if (out.first_alert_years[c] < 0.0) {
@@ -322,22 +350,19 @@ void BatchRollout::roll(std::span<const DeviceSample> samples,
             }
             // Every outcome field is recorded at its first trigger and
             // never rewritten, so once all are set no later grid point
-            // can change this device — the lane retires early without
-            // draining the batch (outcome-identical to evaluating the
-            // remaining years).
-            if (done) {
-                settled_[l] = 1;
-                engine_.retire_lane(l);
-                ++stats_.lanes_settled_early;
-            }
+            // can change this device: it settles (outcome-identical to
+            // evaluating the remaining years) and the lane takes the
+            // next device without draining the batch.
+            const bool last = ++year_[l] == grid.size();
+            if (!done && !last) continue;
+            if (done && !last) ++stats_.lanes_settled_early;
+            finish_outcome(*ctx_, degradation_[l], out);
+            ++stats_.devices;
+            emit(slot_[l], out);
+            if (!load_next(l, pull)) --live;
         }
     }
-
-    for (std::size_t l = 0; l < n; ++l) {
-        finish_outcome(*ctx_, degradation_[l], outcomes[l]);
-    }
     ++stats_.batches;
-    stats_.devices += n;
 }
 
 }  // namespace fastmon

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -33,7 +34,8 @@ struct RolloutContext {
     const Netlist* netlist = nullptr;
     const MonitorPlacement* placement = nullptr;
     Time clock_period = 0.0;
-    /// Lifetime evaluation grid in years (ascending, starts at 0).
+    /// Lifetime evaluation grid in years (ascending, starts at 0,
+    /// non-empty: make_year_grid always yields year 0).
     std::vector<double> grid;
     /// Burn-in screen window [0, screen_years]: alerts inside it form
     /// the manufacturing-time prediction signature.
@@ -99,32 +101,57 @@ DeviceOutcome roll_device(const RolloutContext& ctx,
                           const DeviceSample& sample,
                           std::unique_ptr<StaEngine>* engine_scratch = nullptr);
 
-/// Rolls devices through the lifetime grid in lockstep batches of up
-/// to BatchStaEngine::width() lanes: one shared topological pass per
-/// grid year serves the whole batch, lanes are loaded directly from
-/// each device's variation factors (no per-device DelayAnnotation),
-/// and a lane whose outcome is fully recorded (failure year and every
-/// guard band's first alert) retires early without draining the rest.
-/// Outcomes are bit-identical to roll_device on the same samples —
-/// the batched campaign differential asserts exactly that.
+/// Streams devices through the lifetime grid on a fixed number of
+/// live lanes (at most BatchStaEngine::width()).  One shared
+/// topological pass per step serves every lane, each lane at its own
+/// grid year; lanes are loaded directly from each device's variation
+/// factors (no per-device DelayAnnotation).  A lane whose outcome is fully
+/// recorded (failure year and every guard band's first alert), or that
+/// has evaluated the last grid year, is finished and handed to the
+/// sink, then reloaded at once with the source's next device at grid
+/// year 0 — a pass never carries a settled lane while devices remain.
+/// Only the final drain, when the source is dry, runs fewer lanes.
+/// Outcomes are bit-identical to roll_device on the same samples — the
+/// batched campaign differential asserts exactly that.
 ///
 /// One BatchRollout per worker shard; not thread-safe per instance.
 class BatchRollout {
 public:
     struct Stats {
+        /// Kernel runs (roll() / stream() calls).
         std::uint64_t batches = 0;
         std::uint64_t devices = 0;
         /// Lane-years actually evaluated (vs. grid.size() * devices
-        /// for the scalar path; the gap is early-retirement savings).
+        /// for the scalar path; the gap is early-settling savings).
         std::uint64_t lane_years = 0;
+        /// Devices whose outcome completed before the final grid
+        /// point, so at least one grid year was skipped.
         std::uint64_t lanes_settled_early = 0;
     };
 
-    explicit BatchRollout(const RolloutContext& ctx);
+    /// Device source: returns the next device and its sink slot (an
+    /// opaque id handed back to Emit), or null when exhausted.  The
+    /// sample only has to stay valid until the next call.
+    using Pull = std::function<const DeviceSample*(std::size_t& slot)>;
+    /// Outcome sink: receives each finished device with its slot, in
+    /// completion order (not pull order); may move from `outcome`.
+    using Emit = std::function<void(std::size_t slot, DeviceOutcome& outcome)>;
 
-    /// Rolls samples[i] into outcomes[i].  samples.size() must be in
-    /// [1, width()]; a ragged final batch simply leaves the trailing
-    /// lanes retired.
+    /// `lanes` live lanes per pass, clamped to [1, width()].
+    explicit BatchRollout(const RolloutContext& ctx,
+                          std::size_t lanes = width());
+
+    /// Rolls every device `pull` yields and emits its outcome; returns
+    /// once the source is dry and every lane has drained.  A cancelled
+    /// source just stops yielding: the devices already in flight (at
+    /// most lanes - 1 besides the lane that found the source dry)
+    /// still finish and are emitted, unless an STA pass observes the
+    /// cancel first and throws CancelledError — then they are dropped
+    /// unemitted, never half-recorded.
+    void stream(const Pull& pull, const Emit& emit);
+
+    /// Rolls samples[i] into outcomes[i] (any count >= 1): stream()
+    /// over the span.
     void roll(std::span<const DeviceSample> samples,
               std::span<DeviceOutcome> outcomes);
 
@@ -138,22 +165,31 @@ public:
 
 private:
     const RolloutContext* ctx_;
-    /// Campaign-nominal base shared by every lane; lanes scale it by
-    /// their device's variation factors at load time.
+    /// Campaign-nominal base shared by every lane; the engine scales
+    /// it by each lane's variation factors in every pass.
     DelayAnnotation nominal_;
     BatchStaEngine engine_;
     /// The legacy preset, when the context carries no registry.
     std::unique_ptr<WearoutModel> owned_wearout_;
     const WearoutModel* wearout_;
+    std::size_t lanes_;
+    /// Per-lane device state: degradation, delta scratch, the outcome
+    /// being recorded, the next grid index, and the sink slot.
     std::array<DeviceDegradation, kBatchWidth> degradation_;
     std::array<DelayDelta, kBatchWidth> lane_delta_;
-    std::array<std::uint8_t, kBatchWidth> settled_{};
+    std::array<DeviceOutcome, kBatchWidth> outcome_;
+    std::array<std::size_t, kBatchWidth> year_{};
+    std::array<std::size_t, kBatchWidth> slot_{};
     BatchDelayDelta batch_delta_;
     std::vector<double> factors_;  ///< per-gate scratch, reused per lane
     /// Monitored observe-point signals in op order — evaluate_into's
     /// monitored reduction, with the branch hoisted out of the loop.
     std::vector<GateId> monitored_signals_;
     Stats stats_;
+
+    /// Loads `lane` with the source's next device; retires it and
+    /// returns false once the source is dry.
+    bool load_next(std::size_t lane, const Pull& pull);
 };
 
 }  // namespace fastmon

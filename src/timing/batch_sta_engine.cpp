@@ -41,16 +41,11 @@ BatchStaEngine::BatchStaEngine(const Netlist& netlist,
             base_max_[start + pin] = std::max(d.rise, d.fall);
         }
     }
-    const std::size_t cols = static_cast<std::size_t>(cursor) * kBatchWidth;
-    lane_base_max_.resize(cols);
-    cur_max_.resize(cols);
+    // Every lane starts inactive at the shared base.
+    variation_.assign(n * kBatchWidth, 1.0);
+    aging_.assign(n * kBatchWidth, 1.0);
     arr_max_.assign(n * kBatchWidth, 0.0);
-    // Every lane starts at the shared base, inactive.
-    for (std::size_t i = 0; i < cursor; ++i) {
-        for (std::size_t l = 0; l < kBatchWidth; ++l) {
-            lane_base_max_[i * kBatchWidth + l] = base_max_[i];
-        }
-    }
+    first_extra_.assign(n, kNoExtra);
 }
 
 void BatchStaEngine::load_lane(std::size_t lane,
@@ -58,23 +53,8 @@ void BatchStaEngine::load_lane(std::size_t lane,
     assert(lane < kBatchWidth);
     assert(gate_factors.size() == netlist_->size());
     const std::size_t n = netlist_->size();
-    // Per-gate scaling of the shared base.  Scaling by a positive
-    // factor is weakly monotone, so max over (rise, fall) commutes
-    // with it bit-for-bit — the lane column equals what a scalar engine
-    // would load from the materialized per-device annotation.
-    for (GateId id = 0; id < n; ++id) {
-        const double f = gate_factors[id];
-        const std::uint32_t begin = offset_[id];
-        const std::uint32_t end = offset_[id + 1];
-        if (f == 1.0) {
-            for (std::uint32_t i = begin; i < end; ++i) {
-                lane_base_max_[i * kBatchWidth + lane] = base_max_[i];
-            }
-        } else {
-            for (std::uint32_t i = begin; i < end; ++i) {
-                lane_base_max_[i * kBatchWidth + lane] = base_max_[i] * f;
-            }
-        }
+    for (std::size_t id = 0; id < n; ++id) {
+        variation_[id * kBatchWidth + lane] = gate_factors[id];
     }
     active_[lane] = 1;
     ++stats_.lane_loads;
@@ -104,16 +84,13 @@ void BatchStaEngine::poll_cancel() {
     }
 }
 
-// Base copy and per-gate scales fused into one merge-walk over the
-// gates: cur = lane_base * factor for scaled gates (the same product
-// bits as copy-then-multiply), plain copies elsewhere.  Every non-null
-// lane scales the same ascending gate list (BatchDelayDelta), so the
-// first non-null lane's entries drive the walk and each lane's column
-// still sees its own factors in entry order; null (retired) lanes
-// multiply by 1.0, a bitwise copy of an unread column.  Additive
-// extras follow per lane (defect structure differs per device; the
-// entry counts are small).
-void BatchStaEngine::apply(const BatchDelayDelta& batch) {
+// Transposes the lane deltas into the [gate][lane] aging column and
+// groups their extras by gate.  Every non-null lane scales the same
+// ascending gate list (BatchDelayDelta), so the first non-null lane's
+// entries drive one merge-walk over the gates and each lane's column
+// still sees its own factors; unscaled gates and null (retired) lanes
+// get 1.0, and b * 1.0 == b bitwise.
+void BatchStaEngine::load_deltas(const BatchDelayDelta& batch) {
     const DelayDelta* shape = nullptr;
     for (std::size_t l = 0; l < kBatchWidth && !shape; ++l) {
         shape = batch.lanes[l];
@@ -130,76 +107,97 @@ void BatchStaEngine::apply(const BatchDelayDelta& batch) {
         }
     }
 #endif
-    std::array<double, kBatchWidth> factor;
     const std::size_t n = netlist_->size();
     const std::size_t ns = shape ? shape->scales.size() : 0;
     std::size_t j = 0;
     for (GateId g = 0; g < n; ++g) {
-        const std::uint32_t begin = offset_[g];
-        const std::uint32_t end = offset_[g + 1];
-        if (j < ns && shape->scales[j].gate == g) {
-            for (std::size_t l = 0; l < kBatchWidth; ++l) {
-                const DelayDelta* d = batch.lanes[l];
-                factor[l] = d ? d->scales[j].factor : 1.0;
-            }
-            ++j;
-            for (std::uint32_t i = begin; i < end; ++i) {
-                const Time* const bmax =
-                    lane_base_max_.data() + i * kBatchWidth;
-                Time* const cmax = cur_max_.data() + i * kBatchWidth;
-                for (std::size_t l = 0; l < kBatchWidth; ++l) {
-                    cmax[l] = bmax[l] * factor[l];
-                }
-            }
-        } else {
-            const std::size_t first = begin * kBatchWidth;
-            const std::size_t count = (end - begin) * kBatchWidth;
-            std::copy_n(lane_base_max_.data() + first, count,
-                        cur_max_.data() + first);
+        double* const row = aging_.data() + std::size_t{g} * kBatchWidth;
+        const bool scaled = j < ns && shape->scales[j].gate == g;
+        for (std::size_t l = 0; l < kBatchWidth; ++l) {
+            const DelayDelta* d = batch.lanes[l];
+            row[l] = scaled && d ? d->scales[j].factor : 1.0;
         }
+        j += scaled ? 1 : 0;
     }
     assert(j == ns);
+
+    for (const LaneExtra& e : extras_) first_extra_[e.gate] = kNoExtra;
+    extras_.clear();
     for (std::size_t l = 0; l < kBatchWidth; ++l) {
         const DelayDelta* d = batch.lanes[l];
         if (!d) continue;
         for (const DelayDelta::ArcExtra& e : d->extras) {
-            const std::uint32_t begin = offset_[e.gate];
-            const std::uint32_t first =
-                e.pin == DelayDelta::kAllPins ? begin : begin + e.pin;
-            const std::uint32_t last = e.pin == DelayDelta::kAllPins
-                                           ? offset_[e.gate + 1]
-                                           : begin + e.pin + 1;
-            for (std::uint32_t i = first; i < last; ++i) {
-                cur_max_[i * kBatchWidth + l] += e.extra;
-            }
+            extras_.push_back(LaneExtra{e.gate, e.pin, l, e.extra});
         }
+    }
+    // Stable: a lane's extras on one gate keep their entry order.
+    std::stable_sort(extras_.begin(), extras_.end(),
+                     [](const LaneExtra& x, const LaneExtra& y) {
+                         return x.gate < y.gate;
+                     });
+    for (std::size_t k = extras_.size(); k-- > 0;) {
+        first_extra_[extras_[k].gate] = static_cast<std::uint32_t>(k);
     }
 }
 
 void BatchStaEngine::forward() {
     Time* const arr_max = arr_max_.data();
-    const Time* const dly_max = cur_max_.data();
+    const Time* const base = base_max_.data();
     const GateId* const fanin = fanin_flat_.data();
     const std::uint32_t* const offset = offset_.data();
     for (const GateId id : topo_) {
-        Time* const out_max = arr_max + static_cast<std::size_t>(id) * kBatchWidth;
+        const std::size_t row = static_cast<std::size_t>(id) * kBatchWidth;
+        Time* const out_max = arr_max + row;
         if (is_source_[id]) {
             for (std::size_t l = 0; l < kBatchWidth; ++l) out_max[l] = 0.0;
             continue;
         }
         // Pin loop outer, lane loop inner: each lane sees the arcs in
         // the scalar engine's order, and the inner loop is a
-        // fixed-trip-count add/max the compiler turns into vector code.
+        // fixed-trip-count mul/add/max the compiler turns into vector
+        // code.  Arc delay = (base * variation) * aging, the product
+        // order of the scalar engine's load and scale.
+        const double* const vf = variation_.data() + row;
+        const double* const af = aging_.data() + row;
         Time amax[kBatchWidth];
         for (std::size_t l = 0; l < kBatchWidth; ++l) amax[l] = 0.0;
         const std::uint32_t start = offset[id];
         const std::uint32_t end = offset[id + 1];
-        for (std::uint32_t i = start; i < end; ++i) {
-            const Time* const f_max =
-                arr_max + static_cast<std::size_t>(fanin[i]) * kBatchWidth;
-            const Time* const d_max = dly_max + static_cast<std::size_t>(i) * kBatchWidth;
-            for (std::size_t l = 0; l < kBatchWidth; ++l) {
-                amax[l] = std::max(amax[l], f_max[l] + d_max[l]);
+        const std::uint32_t first = first_extra_[id];
+        if (first == kNoExtra) {
+            for (std::uint32_t i = start; i < end; ++i) {
+                const Time* const f_max =
+                    arr_max + static_cast<std::size_t>(fanin[i]) * kBatchWidth;
+                const Time b = base[i];
+                // Kept a loop for the vectorizer: fully unrolled first,
+                // GCC emits the lanes as scalar max code.
+#pragma GCC unroll 1
+                for (std::size_t l = 0; l < kBatchWidth; ++l) {
+                    amax[l] = std::max(amax[l], f_max[l] + (b * vf[l]) * af[l]);
+                }
+            }
+        } else {
+            // Defect gate: the scaled delay, then the lane's extras on
+            // this arc in entry order.
+            for (std::uint32_t i = start; i < end; ++i) {
+                const Time* const f_max =
+                    arr_max + static_cast<std::size_t>(fanin[i]) * kBatchWidth;
+                const Time b = base[i];
+                Time d[kBatchWidth];
+                for (std::size_t l = 0; l < kBatchWidth; ++l) {
+                    d[l] = (b * vf[l]) * af[l];
+                }
+                const std::uint32_t pin = i - start;
+                for (std::size_t k = first;
+                     k < extras_.size() && extras_[k].gate == id; ++k) {
+                    const LaneExtra& e = extras_[k];
+                    if (e.pin == DelayDelta::kAllPins || e.pin == pin) {
+                        d[e.lane] += e.extra;
+                    }
+                }
+                for (std::size_t l = 0; l < kBatchWidth; ++l) {
+                    amax[l] = std::max(amax[l], f_max[l] + d[l]);
+                }
             }
         }
         for (std::size_t l = 0; l < kBatchWidth; ++l) out_max[l] = amax[l];
@@ -231,7 +229,7 @@ void BatchStaEngine::update(const BatchDelayDelta& batch) {
     }
     if (active == 0) return;
     poll_cancel();
-    apply(batch);
+    load_deltas(batch);
     forward();
     refresh_clock();
     ++stats_.batch_passes;

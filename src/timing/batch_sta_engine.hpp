@@ -4,11 +4,20 @@
 // BatchStaEngine makes it fast per *population*.  One engine
 // propagates kBatchWidth devices ("lanes") per topological pass: the
 // flattened traversal structure (topo order, fanin ids, arc offsets)
-// is shared once per netlist, while arc delays and arrival times are
-// stored as [arc][lane] / [gate][lane] columns — kBatchWidth
-// contiguous doubles per arc — so the innermost max/add reduction is a
+// and the base arc delays are shared once per netlist, while every
+// per-lane quantity is a [gate][lane] column — kBatchWidth contiguous
+// doubles per gate — so the innermost max/add reduction is a
 // fixed-trip-count lane loop the compiler auto-vectorizes (AVX2 on
 // x86, plain scalar code elsewhere; no intrinsics).
+//
+// Fused pass: no per-arc lane column is ever materialized.  The
+// forward pass computes each arc delay in its pin loop as
+// (base[arc] * variation[gate][lane]) * aging[gate][lane], then adds
+// the lane's defect extras on that arc in entry order (only for the
+// few gates an update flags as carrying one).  These are the scalar
+// engine's load + scale + extra operations in the scalar order, so the
+// per-lane working set is three [gate][lane] columns instead of two
+// [arc][lane] ones on top of the arrivals.
 //
 // Bit-identity contract: the per-lane operation order is exactly the
 // scalar StaEngine's — lanes are independent columns, the pin loop
@@ -21,14 +30,15 @@
 // -ffp-contract=off / default GCC x86 configurations do for this
 // code), not an accepted slack on this implementation.
 //
-// Lane lifecycle: load_lane() points a lane at one device (shared base
-// arcs scaled by per-gate process-variation factors, without
-// materializing a per-device DelayAnnotation), update() advances every
-// active lane by its own DelayDelta, and retire_lane() parks a
-// finished/failed device — the column keeps computing (the lane loop
-// stays branch-free) but its values are no longer meaningful and its
-// delta slot may stay null.  A retired lane can be re-loaded for the
-// next device without draining the rest of the batch.
+// Lane lifecycle: load_lane() points a lane at one device (its
+// per-gate process-variation factors, without materializing a
+// per-device DelayAnnotation), update() advances every active lane by
+// its own DelayDelta, and retire_lane() parks a finished/failed
+// device — the column keeps computing (the lane loop stays
+// branch-free) but its values are no longer meaningful and its delta
+// slot may stay null.  A lane can be re-loaded for the next device at
+// any time without draining the rest of the batch; BatchRollout does
+// so the moment a device settles.
 //
 // The engine maintains max arrival times only (the campaign hot path
 // evaluates nothing else; halving the per-arc work against a min/max
@@ -106,8 +116,9 @@ public:
     /// of the gate; 1.0 leaves it at base).  This is the columnar
     /// equivalent of DelayAnnotation::with_lognormal_variation + rebase
     /// without materializing the annotation: max over (rise, fall)
-    /// commutes bit-for-bit with the positive per-gate scaling.
-    /// (Re)activates the lane.
+    /// commutes bit-for-bit with the positive per-gate scaling.  Only
+    /// the lane's variation column is written; the arc products are
+    /// formed in the forward pass.  (Re)activates the lane.
     void load_lane(std::size_t lane, std::span<const double> gate_factors);
 
     /// Parks a lane: it stops accepting deltas (its BatchDelayDelta
@@ -147,7 +158,16 @@ public:
     [[nodiscard]] const Stats& stats() const { return stats_; }
 
 private:
-    void apply(const BatchDelayDelta& batch);
+    /// One lane's defect extra, grouped by gate for the forward pass.
+    struct LaneExtra {
+        GateId gate;
+        std::uint32_t pin;
+        std::size_t lane;
+        Time extra;
+    };
+    static constexpr std::uint32_t kNoExtra = 0xFFFFFFFF;
+
+    void load_deltas(const BatchDelayDelta& batch);
     void forward();
     void refresh_clock();
     void poll_cancel();
@@ -164,11 +184,17 @@ private:
 
     /// Shared base arc delays (max over rise/fall), one per arc.
     std::vector<Time> base_max_;
-    /// Columnar per-lane state: [arc * kBatchWidth + lane].
-    std::vector<Time> lane_base_max_;
-    std::vector<Time> cur_max_;
-    /// Columnar arrivals: [gate * kBatchWidth + lane].
+    /// Columnar per-lane state, [gate * kBatchWidth + lane]: the
+    /// loaded variation factor, this update's aging factor (1.0 for
+    /// unscaled gates and null lanes), and the max arrival.
+    std::vector<double> variation_;
+    std::vector<double> aging_;
     std::vector<Time> arr_max_;
+    /// This update's extras of every non-null lane, sorted by gate
+    /// (lane-major and entry order within a gate), and per gate the
+    /// index of its first extra or kNoExtra.
+    std::vector<LaneExtra> extras_;
+    std::vector<std::uint32_t> first_extra_;
     std::array<Time, kBatchWidth> cpl_{};
     std::array<Time, kBatchWidth> clock_{};
 

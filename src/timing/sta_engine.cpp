@@ -32,8 +32,8 @@ StaEngine::StaEngine(const Netlist& netlist, const DelayAnnotation& base,
     offset_[n] = cursor;
     base_max_.resize(cursor);
     base_min_.resize(cursor);
-    cur_max_.resize(cursor);
-    cur_min_.resize(cursor);
+    arc_max_.resize(cursor);
+    arc_min_.resize(cursor);
     const auto order = netlist.topo_order();
     topo_.assign(order.begin(), order.end());
     is_source_.resize(n);
@@ -64,8 +64,8 @@ StaEngine::StaEngine(StaEngine&& other) noexcept
       fanin_flat_(std::move(other.fanin_flat_)),
       base_max_(std::move(other.base_max_)),
       base_min_(std::move(other.base_min_)),
-      cur_max_(std::move(other.cur_max_)),
-      cur_min_(std::move(other.cur_min_)),
+      arc_max_(std::move(other.arc_max_)),
+      arc_min_(std::move(other.arc_min_)),
       result_(std::move(other.result_)),
       valid_(std::exchange(other.valid_, false)),
       stats_(other.stats_),
@@ -83,8 +83,8 @@ StaEngine& StaEngine::operator=(StaEngine&& other) noexcept {
     fanin_flat_ = std::move(other.fanin_flat_);
     base_max_ = std::move(other.base_max_);
     base_min_ = std::move(other.base_min_);
-    cur_max_ = std::move(other.cur_max_);
-    cur_min_ = std::move(other.cur_min_);
+    arc_max_ = std::move(other.arc_max_);
+    arc_min_ = std::move(other.arc_min_);
     result_ = std::move(other.result_);
     valid_ = std::exchange(other.valid_, false);
     stats_ = other.stats_;
@@ -113,28 +113,28 @@ void StaEngine::rebase(const DelayAnnotation& base) {
 }
 
 void StaEngine::apply_delta(const DelayDelta& delta) {
-    std::copy(base_max_.begin(), base_max_.end(), cur_max_.begin());
-    std::copy(base_min_.begin(), base_min_.end(), cur_min_.begin());
+    std::copy(base_max_.begin(), base_max_.end(), arc_max_.begin());
+    std::copy(base_min_.begin(), base_min_.end(), arc_min_.begin());
     // Entry-order application.  Entries of distinct gates are
     // independent, so per-entry processing preserves the order that
     // matters (multiple entries on one gate).
     for (const DelayDelta::GateScale& s : delta.scales) {
         for (std::uint32_t i = offset_[s.gate]; i < offset_[s.gate + 1]; ++i) {
-            cur_max_[i] *= s.factor;
-            cur_min_[i] *= s.factor;
+            arc_max_[i] *= s.factor;
+            arc_min_[i] *= s.factor;
         }
     }
     for (const DelayDelta::ArcExtra& e : delta.extras) {
         if (e.pin == DelayDelta::kAllPins) {
             for (std::uint32_t i = offset_[e.gate]; i < offset_[e.gate + 1];
                  ++i) {
-                cur_max_[i] += e.extra;
-                cur_min_[i] += e.extra;
+                arc_max_[i] += e.extra;
+                arc_min_[i] += e.extra;
             }
         } else {
             const std::uint32_t i = offset_[e.gate] + e.pin;
-            cur_max_[i] += e.extra;
-            cur_min_[i] += e.extra;
+            arc_max_[i] += e.extra;
+            arc_min_[i] += e.extra;
         }
     }
 }
@@ -152,8 +152,8 @@ void StaEngine::full_forward() {
     result_.min_arrival.resize(n);
     Time* const arr_max = result_.max_arrival.data();
     Time* const arr_min = result_.min_arrival.data();
-    const Time* const dly_max = cur_max_.data();
-    const Time* const dly_min = cur_min_.data();
+    const Time* const dly_max = arc_max_.data();
+    const Time* const dly_min = arc_min_.data();
     const GateId* const fanin = fanin_flat_.data();
     const std::uint32_t* const offset = offset_.data();
     // Cancellation poll batched per pass (the tight loop stays pure);
@@ -207,7 +207,7 @@ void StaEngine::full_backward() {
             for (std::uint32_t pin = 0; pin < og.fanin.size(); ++pin) {
                 if (og.fanin[pin] != id) continue;
                 best = std::max(best,
-                                cur_max_[start + pin] + result_.downstream[out]);
+                                arc_max_[start + pin] + result_.downstream[out]);
                 observed = true;
             }
         }

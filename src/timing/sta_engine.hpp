@@ -116,7 +116,7 @@ private:
     std::vector<std::uint8_t> is_source_;  ///< Input or Dff (arrival 0)
     std::vector<GateId> fanin_flat_;     ///< arc-aligned driver ids
     std::vector<Time> base_max_, base_min_;  ///< per arc: max/min(rise, fall)
-    std::vector<Time> cur_max_, cur_min_;    ///< base transformed by the delta
+    std::vector<Time> arc_max_, arc_min_;    ///< base transformed by the delta
 
     StaResult result_;
     bool valid_ = false;

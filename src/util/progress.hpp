@@ -53,6 +53,8 @@ public:
         std::atomic<std::uint64_t> devices{0};
         std::atomic<std::uint64_t> lane_years{0};
         std::atomic<std::uint64_t> settled_early{0};
+        /// STA passes (published as "batches"); lane_years / batches
+        /// is the mean number of live lanes per pass.
         std::atomic<std::uint64_t> batches{0};
         std::atomic<std::uint64_t> busy_ns{0};
     };

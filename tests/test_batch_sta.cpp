@@ -4,12 +4,14 @@
 // tolerance — the per-lane operation order is the scalar order, so the
 // documented <= 4 ulp contract is headroom, not slack).  Covers lane
 // loading from variation factors, dense per-lane deltas, lane
-// retirement/reload, and the BatchRollout device path against
-// roll_device (including ragged batches).
+// retirement/reload, defect extras of every shape, and the
+// BatchRollout device path against roll_device (ragged and streamed
+// spans).
 #include "timing/batch_sta_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -159,6 +161,65 @@ TEST_F(BatchFixture, RetiredLaneDoesNotDrainTheBatch) {
     expect_lane_matches(batch, retired, fresh.engine->update(deltas[retired]));
 }
 
+TEST_F(BatchFixture, PinAndRepeatedExtrasMatchScalar) {
+    // The fused forward pass adds extras per arc inside the pin loop;
+    // cover every shape DelayDelta allows, not only the kAllPins
+    // extras a degradation delta carries: a pin-specific extra, two
+    // extras on one arc, kAllPins plus a pin extra on one gate, lanes
+    // with extras next to lanes without, and a retired lane reloaded.
+    std::vector<GateId> multi;
+    for (const GateId g : comb) {
+        if (nl.gate(g).fanin.size() >= 2) multi.push_back(g);
+    }
+    ASSERT_GE(multi.size(), 3u);
+    const GateId pin_gate = multi[0];
+    const GateId twice_gate = multi[multi.size() / 2];
+    const GateId mixed_gate = multi.back();
+    const auto with_extras = [&](std::uint64_t seed, int round,
+                                 std::size_t lane) {
+        DelayDelta delta = device_delta(seed, round);
+        delta.extras.clear();
+        if (lane % 2 == 1) return delta;  // a lane without extras
+        delta.add(pin_gate, 1, 3.0 + round);
+        delta.add(twice_gate, 0, 1.25);
+        delta.add(mixed_gate, DelayDelta::kAllPins, 2.5);
+        delta.add(twice_gate, 0, 0.5 * (round + 1));
+        delta.add(mixed_gate, 1, 4.0 + lane);
+        return delta;
+    };
+
+    BatchStaEngine batch(nl, nominal);
+    std::vector<ScalarLane> scalars;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t l = 0; l < kBatchWidth; ++l) {
+        seeds.push_back(300 + l);
+        load_device_lane(batch, l, seeds[l]);
+        scalars.push_back(make_scalar(seeds[l]));
+    }
+    const std::size_t retired = kBatchWidth - 1;
+    std::vector<DelayDelta> deltas(kBatchWidth);
+    for (int round = 0; round < 5; ++round) {
+        if (round == 2) batch.retire_lane(retired);
+        if (round == 3) {
+            seeds[retired] = 777;
+            load_device_lane(batch, retired, seeds[retired]);
+            scalars[retired] = make_scalar(seeds[retired]);
+        }
+        BatchDelayDelta bd;
+        for (std::size_t l = 0; l < kBatchWidth; ++l) {
+            if (round == 2 && l == retired) continue;  // null slot
+            deltas[l] = with_extras(seeds[l], round, l);
+            bd.set(l, &deltas[l]);
+        }
+        batch.update(bd);
+        for (std::size_t l = 0; l < kBatchWidth; ++l) {
+            if (round == 2 && l == retired) continue;
+            expect_lane_matches(batch, l,
+                                scalars[l].engine->update(deltas[l]));
+        }
+    }
+}
+
 /// Campaign-shaped rollout context over the mini-ALU, built the way
 /// run_campaign's prepare phase does.
 struct RolloutFixture : ::testing::Test {
@@ -252,6 +313,64 @@ TEST_F(RolloutFixture, SettledLanesRetireEarlyWithoutChangingOutcomes) {
     // paying for grid years.
     EXPECT_LE(rollout.stats().lane_years,
               ctx.grid.size() * samples.size());
+}
+
+TEST_F(RolloutFixture, StreamedRollMatchesRollDevice) {
+    // Defective devices settle within a few years while clean ones run
+    // to the horizon: a refilling kernel keeps every lane busy, a
+    // lockstep one would carry settled lanes until its slowest lane
+    // finished.  One roll() streams the whole span.
+    PopulationModel hot = model;
+    hot.defect.incidence = 1.0;
+    PopulationModel clean = model;
+    clean.defect.incidence = 0.0;
+    std::vector<DeviceSample> samples;
+    for (std::size_t i = 0; i < 5 * kBatchWidth + 3; ++i) {
+        samples.push_back(sample_device(i % 2 == 0 ? hot : clean, 93,
+                                        static_cast<std::uint32_t>(i), sites,
+                                        ctx.clock_period));
+    }
+    std::unique_ptr<StaEngine> scratch;
+    std::vector<DeviceOutcome> want;
+    std::uint64_t want_years = 0;
+    for (const DeviceSample& s : samples) {
+        want.push_back(roll_device(ctx, s, &scratch));
+        // A device settles on the grid year its last outcome field
+        // triggers; until then every year is evaluated.
+        const DeviceOutcome& o = want.back();
+        bool settles = o.failure_years >= 0.0;
+        double settle = o.failure_years;
+        for (std::size_t c = 1; c < o.first_alert_years.size(); ++c) {
+            settles = settles && o.first_alert_years[c] >= 0.0;
+            settle = std::max(settle, o.first_alert_years[c]);
+        }
+        want_years +=
+            !settles
+                ? ctx.grid.size()
+                : static_cast<std::uint64_t>(
+                      std::find(ctx.grid.begin(), ctx.grid.end(), settle) -
+                      ctx.grid.begin()) + 1;
+    }
+
+    for (const std::size_t lanes :
+         {kBatchWidth, std::min<std::size_t>(3, kBatchWidth)}) {
+        BatchRollout rollout(ctx, lanes);
+        std::vector<DeviceOutcome> batched(samples.size());
+        rollout.roll(samples, batched);
+        for (std::size_t i = 0; i < samples.size(); ++i) {
+            EXPECT_EQ(batched[i], want[i])
+                << lanes << " lanes, device " << i;
+        }
+        const BatchRollout::Stats& st = rollout.stats();
+        EXPECT_EQ(st.devices, samples.size());
+        EXPECT_EQ(st.batches, 1u);
+        EXPECT_EQ(st.lane_years, want_years) << lanes << " lanes";
+        EXPECT_GT(st.lanes_settled_early, 0u);
+        // Refilled lanes: only the final drain runs short of `lanes`.
+        EXPECT_LE(rollout.engine_stats().batch_passes,
+                  (st.lane_years + lanes - 1) / lanes + ctx.grid.size())
+            << lanes << " lanes";
+    }
 }
 
 }  // namespace

@@ -70,10 +70,12 @@ void print_usage() {
         "  --checkpoint <path>      resumable snapshot file\n"
         "  --checkpoint-every <n>   devices between snapshots (default 64)\n"
         "  --resume                 resume from --checkpoint if present\n"
-        "  --batch-width <n>        devices per batched STA pass (0 = auto\n"
-        "                           from the compiled width, 1 = scalar\n"
-        "                           reference engine; identical report\n"
-        "                           blocks at every width)\n"
+        "  --batch-width <n>        live lanes per batched STA pass: a\n"
+        "                           lane takes the next device as soon as\n"
+        "                           its device settles (0 = auto from the\n"
+        "                           compiled width, 1 = scalar reference\n"
+        "                           engine; identical report blocks at\n"
+        "                           every width)\n"
         "\n"
         "fleet sharding (see also fastmon_fleet / fastmon_merge):\n"
         "  --shard <i>/<n>          roll only shard i of n (0-based); the\n"

@@ -113,7 +113,7 @@ void print_heartbeat(const Json& hb) {
     if (budget > 0.0) {
         std::printf(
             "grid:     %.0f/%.0f lane-years (%.1f%%), "
-            "%.0f lanes settled early, %.0f batches\n",
+            "%.0f lanes settled early, %.0f STA passes\n",
             lane_years, budget, 100.0 * lane_years / budget, settled,
             num(hb, "batches"));
     }
@@ -121,7 +121,7 @@ void print_heartbeat(const Json& hb) {
     const Json* workers = hb.find("workers");
     if (workers != nullptr && workers->is_array() &&
         !workers->as_array().empty()) {
-        TextTable table({"worker", "devices", "batches", "busy (s)",
+        TextTable table({"worker", "devices", "STA passes", "busy (s)",
                          "util %"});
         std::size_t index = 0;
         for (const Json& w : workers->as_array()) {
