@@ -96,7 +96,7 @@ namespace {
 std::string cache_key(const BenchSettings& settings,
                       const CircuitProfile& profile) {
     std::ostringstream os;
-    os << profile.name << "_v4_g" << settings.max_gates << "_f"
+    os << profile.name << "_v5_g" << settings.max_gates << "_f"
        << settings.max_faults << (settings.fast ? "_fast" : "");
     return os.str();
 }
@@ -146,10 +146,9 @@ std::string serialize_result(const HdfFlowResult& r) {
     os << "detection " << c.pairs_total << ' ' << c.pairs_screened_out << ' '
        << c.pairs_inactive << ' ' << c.pairs_simulated << ' '
        << c.pairs_detected << ' ' << c.gates_reevaluated << ' '
-       << c.good_wave_sims << ' ' << c.cones_cached << ' '
-       << c.screen_seconds << ' ' << c.good_wave_seconds << ' '
-       << c.fault_sim_seconds << ' ' << c.analyze_seconds << ' '
-       << c.table_seconds << '\n';
+       << c.good_wave_sims << ' ' << c.screen_seconds << ' '
+       << c.good_wave_seconds << ' ' << c.fault_sim_seconds << ' '
+       << c.analyze_seconds << ' ' << c.table_seconds << '\n';
     return os.str();
 }
 
@@ -224,7 +223,7 @@ bool deserialize_result(const std::string& text, HdfFlowResult& r) {
             DetectionCounters& c = r.detection;
             is >> c.pairs_total >> c.pairs_screened_out >> c.pairs_inactive >>
                 c.pairs_simulated >> c.pairs_detected >> c.gates_reevaluated >>
-                c.good_wave_sims >> c.cones_cached >> c.screen_seconds >>
+                c.good_wave_sims >> c.screen_seconds >>
                 c.good_wave_seconds >> c.fault_sim_seconds >>
                 c.analyze_seconds >> c.table_seconds;
             continue;

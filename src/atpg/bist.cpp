@@ -87,6 +87,7 @@ BistCoverage misr_fault_coverage(const WaveSim& sim,
     const Netlist& nl = sim.netlist();
     const auto ops = nl.observe_points();
     const FaultSim fsim(sim);
+    FaultSimScratch scratch;  // one overlay for every (fault, pattern) pair
 
     BistCoverage result;
     result.period = period;
@@ -109,7 +110,8 @@ BistCoverage misr_fault_coverage(const WaveSim& sim,
         for (std::size_t fi = 0; fi < faults.size(); ++fi) {
             std::vector<Bit> fresp = response;
             if (fsim.activated(faults[fi], waves)) {
-                for (const ObserveDiff& od : fsim.simulate(faults[fi], waves)) {
+                for (const ObserveDiff& od :
+                     fsim.simulate(faults[fi], waves, scratch)) {
                     if (od.diff.value_at(period)) {
                         fresp[od.observe_index] ^= 1;
                         any_diff[fi] = true;

@@ -78,7 +78,6 @@ DetectionCounters& DetectionCounters::operator+=(
     pairs_detected += other.pairs_detected;
     gates_reevaluated += other.gates_reevaluated;
     good_wave_sims += other.good_wave_sims;
-    cones_cached += other.cones_cached;
     screen_seconds += other.screen_seconds;
     good_wave_seconds += other.good_wave_seconds;
     fault_sim_seconds += other.fault_sim_seconds;
@@ -96,7 +95,6 @@ Json DetectionCounters::to_json() const {
     j.set("pairs_detected", pairs_detected);
     j.set("gates_reevaluated", gates_reevaluated);
     j.set("good_wave_sims", good_wave_sims);
-    j.set("cones_cached", cones_cached);
     j.set("screen_seconds", screen_seconds);
     j.set("good_wave_seconds", good_wave_seconds);
     j.set("fault_sim_seconds", fault_sim_seconds);
@@ -156,8 +154,7 @@ DetectionAnalyzer::DetectionAnalyzer(const WaveSim& wave_sim,
     : wave_sim_(&wave_sim),
       patterns_(patterns),
       monitored_(monitored),
-      config_(config),
-      cones_(wave_sim.netlist()) {
+      config_(config) {
     if (monitored_.empty()) {
         monitored_.assign(wave_sim.netlist().observe_points().size(), false);
     }
@@ -241,7 +238,7 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
         const TraceSpan chunk_span("fault_sim_chunk", "detect");
         const auto t0 = Clock::now();
         FaultSimScratch* scratch = scratches.acquire();
-        const FaultSim fsim(*wave_sim_, &cones_);
+        const FaultSim fsim(*wave_sim_);
         std::uint64_t screened = 0;
         std::uint64_t inactive = 0;
         std::uint64_t simulated = 0;
@@ -377,10 +374,12 @@ std::vector<DetectionEntry> DetectionAnalyzer::detection_table(
     auto run_chunk = [&](std::uint32_t pi, std::span<const Waveform> good,
                          std::size_t begin, std::size_t end) {
         const TraceSpan chunk_span("table_chunk", "detect");
+        const auto t0 = Clock::now();
         FaultSimScratch* scratch = scratches.acquire();
-        const FaultSim fsim(*wave_sim_, &cones_);
+        const FaultSim fsim(*wave_sim_);
         const auto& flist = by_pattern[pi];
         std::vector<DetectionEntry> local;
+        std::uint64_t simulated = 0;
         for (std::size_t k = begin; k < end; ++k) {
             if (CancelToken::global().cancelled()) {
                 interrupted_.store(true, std::memory_order_relaxed);
@@ -389,6 +388,7 @@ std::vector<DetectionEntry> DetectionAnalyzer::detection_table(
             const std::uint32_t fi = flist[k];
             const PairRanges pr =
                 ranges_for_pattern(fsim, faults[fi], good, *scratch);
+            ++simulated;
             for (std::uint16_t ti = 0; ti < periods.size(); ++ti) {
                 const Time t = periods[ti];
                 for (std::uint16_t ci = 0; ci < config_delays.size(); ++ci) {
@@ -404,7 +404,8 @@ std::vector<DetectionEntry> DetectionAnalyzer::detection_table(
             }
         }
         scratches.release(scratch);
-        stats_.pairs_simulated += end - begin;
+        stats_.pairs_simulated += simulated;
+        stats_.fault_sim_ns += ns_since(t0);
         const std::lock_guard<std::mutex> lock(entries_mutex);
         entries.insert(entries.end(), local.begin(), local.end());
     };
@@ -494,7 +495,6 @@ DetectionCounters DetectionAnalyzer::counters() const {
     c.pairs_detected = stats_.pairs_detected.load();
     c.gates_reevaluated = stats_.gates_reevaluated.load();
     c.good_wave_sims = stats_.good_wave_sims.load();
-    c.cones_cached = cones_.materialized();
     c.screen_seconds = static_cast<double>(stats_.screen_ns.load()) * 1e-9;
     c.good_wave_seconds =
         static_cast<double>(stats_.good_wave_ns.load()) * 1e-9;

@@ -2,7 +2,7 @@
 // steps (2)-(4) of the paper's test flow (Fig. 4).
 //
 // Pass A (analyze): for every candidate fault and every pattern pair,
-// the fanout cone is re-simulated; the XOR of fault-free and faulty
+// the fault effect is re-simulated; the XOR of fault-free and faulty
 // waveforms at each observation point yields detection intervals, which
 // are pulse-filtered (Sec. II-A) and accumulated into two aggregates per
 // fault: the range observable by standard flip-flops (all observation
@@ -19,8 +19,10 @@
 //   * a bit-parallel ternary pre-screen (ActivationScreen) packs
 //     patterns 64-wide and discards (fault, pattern) pairs whose site
 //     provably never toggles, before any waveform is touched;
-//   * surviving pairs run through FaultSim with a shared ConeCache and
-//     per-worker dense-overlay scratch;
+//   * surviving pairs run through FaultSim's event worklist (only gates
+//     whose fanin changed are re-evaluated; no fanout cone is built or
+//     cached) with a per-worker dense-overlay scratch that recycles
+//     every waveform buffer;
 //   * work executes on a persistent thread pool: fault pairs of the
 //     current pattern in parallel chunks, the next patterns'
 //     fault-free waveforms as pipelined producer tasks;
@@ -74,18 +76,19 @@ struct DetectionAnalysisConfig {
 };
 
 /// Cumulative work/timing counters of a DetectionAnalyzer — the
-/// baseline data of performance work on the engine.  Pair counters
-/// cover analyze(); detection_table() re-simulations are added to
-/// pairs_simulated and timed separately.
+/// baseline data of performance work on the engine.  pairs_total,
+/// the screen/activation counters and pairs_detected cover analyze();
+/// pairs_simulated, gates_reevaluated, good_wave_* and
+/// fault_sim_seconds count the work of both passes (detection_table()
+/// re-simulations included).
 struct DetectionCounters {
     std::uint64_t pairs_total = 0;         ///< (fault, pattern) pairs seen
     std::uint64_t pairs_screened_out = 0;  ///< dropped by the bit-parallel screen
     std::uint64_t pairs_inactive = 0;      ///< dropped by the exact activation check
-    std::uint64_t pairs_simulated = 0;     ///< full cone re-simulations
+    std::uint64_t pairs_simulated = 0;     ///< FaultSim::simulate calls
     std::uint64_t pairs_detected = 0;      ///< simulations with a non-empty range
     std::uint64_t gates_reevaluated = 0;   ///< gate evaluations inside FaultSim
     std::uint64_t good_wave_sims = 0;      ///< fault-free waveform simulations
-    std::uint64_t cones_cached = 0;        ///< distinct fanout cones materialized
     double screen_seconds = 0.0;           ///< building the activation screen
     double good_wave_seconds = 0.0;        ///< fault-free simulation (CPU time)
     double fault_sim_seconds = 0.0;        ///< fault simulation chunks (CPU time)
@@ -150,8 +153,8 @@ public:
                       const std::vector<bool>& monitored,
                       DetectionAnalysisConfig config);
 
-    /// Pass A over `faults` (screened, cached, and parallelized on the
-    /// persistent pool internally).
+    /// Pass A over `faults` (screened and parallelized on the persistent
+    /// pool internally).
     [[nodiscard]] std::vector<FaultRanges> analyze(
         std::span<const DelayFault> faults) const;
 
@@ -211,7 +214,6 @@ private:
     std::span<const PatternPair> patterns_;
     std::vector<bool> monitored_;
     DetectionAnalysisConfig config_;
-    ConeCache cones_;
     std::unique_ptr<ThreadPool> owned_pool_;  ///< only when num_threads >= 2
     mutable Atomics stats_;
     mutable std::atomic<bool> interrupted_{false};

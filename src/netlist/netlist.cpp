@@ -132,6 +132,19 @@ void Netlist::finalize() {
     for (GateId id : dffs_) {
         observes_.push_back(ObservePoint{id, gates_[id].fanin[0], true});
     }
+    // Signal -> observe indices (CSR); filling in ascending index order
+    // keeps every row ascending.
+    observe_offset_.assign(n + 1, 0);
+    for (const ObservePoint& op : observes_) ++observe_offset_[op.signal + 1];
+    for (GateId id = 0; id < n; ++id) {
+        observe_offset_[id + 1] += observe_offset_[id];
+    }
+    observe_by_signal_.assign(observes_.size(), 0);
+    std::vector<std::uint32_t> fill(observe_offset_.begin(),
+                                    observe_offset_.end() - 1);
+    for (std::uint32_t oi = 0; oi < observes_.size(); ++oi) {
+        observe_by_signal_[fill[observes_[oi].signal]++] = oi;
+    }
 
     finalized_ = true;
 }

@@ -77,6 +77,14 @@ public:
     /// Sinks of the combinational core: POs then DFF D inputs.
     [[nodiscard]] std::span<const ObservePoint> observe_points() const { return observes_; }
 
+    /// Indices into observe_points() whose signal is `id`, ascending
+    /// (empty for a gate that drives no observation point).
+    [[nodiscard]] std::span<const std::uint32_t> observe_indices(
+        GateId id) const {
+        const std::uint32_t lo = observe_offset_[id];
+        return {observe_by_signal_.data() + lo, observe_offset_[id + 1] - lo};
+    }
+
     /// Topological order over all nodes: sources first, Output/Dff sink
     /// nodes last; every gate appears after all its fanins (except the
     /// Dff nodes, whose Q-as-source role is represented by the Dff node
@@ -108,6 +116,10 @@ private:
     std::vector<GateId> dffs_;
     std::vector<GateId> sources_;
     std::vector<ObservePoint> observes_;
+    // observe_indices() rows (CSR): gate g owns observe_by_signal_
+    // [observe_offset_[g], observe_offset_[g + 1]).
+    std::vector<std::uint32_t> observe_offset_;
+    std::vector<std::uint32_t> observe_by_signal_;
     std::vector<GateId> topo_;
     std::vector<std::uint32_t> rank_;
     std::vector<std::uint32_t> level_;

@@ -1,6 +1,9 @@
 #include "sim/fault_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <functional>
+#include <limits>
 
 namespace fastmon {
 
@@ -9,51 +12,21 @@ GateId fault_site_signal(const Netlist& netlist, const FaultSite& site) {
     return netlist.gate(site.gate).fanin[site.pin];
 }
 
-ConeCache::ConeCache(const Netlist& netlist)
-    : netlist_(&netlist), slots_(netlist.size()) {}
-
-ConeCache::~ConeCache() {
-    for (auto& slot : slots_) {
-        delete slot.load(std::memory_order_relaxed);
-    }
-}
-
-const std::vector<GateId>& ConeCache::cone(GateId gate) const {
-    std::atomic<const std::vector<GateId>*>& slot = slots_[gate];
-    const std::vector<GateId>* existing = slot.load(std::memory_order_acquire);
-    if (existing != nullptr) return *existing;
-    auto* fresh = new std::vector<GateId>(netlist_->fanout_cone(gate));
-    if (slot.compare_exchange_strong(existing, fresh,
-                                     std::memory_order_release,
-                                     std::memory_order_acquire)) {
-        return *fresh;
-    }
-    delete fresh;  // another thread published first; results are identical
-    return *existing;
-}
-
-std::size_t ConeCache::materialized() const {
-    std::size_t count = 0;
-    for (const auto& slot : slots_) {
-        if (slot.load(std::memory_order_relaxed) != nullptr) ++count;
-    }
-    return count;
-}
-
 void FaultSimScratch::begin_epoch(std::size_t num_gates) {
     if (overlay_.size() != num_gates) {
-        overlay_.assign(num_gates, Waveform());
-        stamp_.assign(num_gates, 0);
-        epoch_ = 0;
+        overlay_.resize(num_gates);  // a slot is read only once stamped
+        epoch_ = std::numeric_limits<std::uint32_t>::max();
     }
-    if (++epoch_ == 0) {  // epoch counter wrapped: stamps are stale
+    if (++epoch_ == 0) {  // first use, new netlist or epoch wrap
         stamp_.assign(num_gates, 0);
+        queued_.assign(num_gates, 0);
         epoch_ = 1;
     }
+    heap_.clear();
+    observed_.clear();
 }
 
-FaultSim::FaultSim(const WaveSim& wave_sim, const ConeCache* cones)
-    : wave_sim_(&wave_sim), cones_(cones) {}
+FaultSim::FaultSim(const WaveSim& wave_sim) : wave_sim_(&wave_sim) {}
 
 const Waveform& FaultSim::site_signal(const FaultSite& site,
                                       std::span<const Waveform> good) const {
@@ -89,74 +62,79 @@ std::vector<ObserveDiff> FaultSim::simulate(
     // Sparse faulty-waveform overlay: only gates that differ from the
     // fault-free simulation are stamped with the current epoch.
     scratch.begin_epoch(nl.size());
+    const std::uint32_t epoch = scratch.epoch_;
+    std::vector<std::uint32_t>& heap = scratch.heap_;
+    std::vector<const Waveform*>& fanin_waves = scratch.fanin_waves_;
+
+    // Keeps the freshly evaluated overlay slot of `id` if it differs
+    // from the fault-free wave: stamps it, records the observation
+    // points it drives and queues its combinational fanouts (Output and
+    // Dff sinks end propagation: fanout does not wrap around a
+    // register).
+    auto settle = [&](GateId id) {
+        if (scratch.overlay_[id] == good[id]) return;
+        scratch.stamp_[id] = epoch;
+        const auto obs = nl.observe_indices(id);
+        scratch.observed_.insert(scratch.observed_.end(), obs.begin(),
+                                 obs.end());
+        for (GateId out : nl.gate(id).fanout) {
+            if (scratch.queued_[out] == epoch ||
+                !is_combinational(nl.gate(out).type)) {
+                continue;
+            }
+            scratch.queued_[out] = epoch;
+            heap.push_back(nl.topo_rank(out));
+            std::push_heap(heap.begin(), heap.end(), std::greater<>());
+        }
+    };
 
     const GateId site_gate = fault.site.gate;
-    const std::vector<GateId>& cone = cones_ != nullptr
-                                          ? cones_->cone(site_gate)
-                                          : scratch.cone_storage_ =
-                                                nl.fanout_cone(site_gate);
-
-    std::vector<const Waveform*>& fanin_waves = scratch.fanin_waves_;
-    for (GateId id : cone) {
-        const Gate& g = nl.gate(id);
-
-        if (id == site_gate) {
-            Waveform w;
-            if (fault.site.pin == FaultSite::kOutputPin) {
-                // Output fault: retard the slow edges of the gate's own
-                // output waveform.
-                w = good[id].with_slowed_edges(fault.slow_rising, fault.delta);
-            } else {
-                // Input-pin fault: the gate sees a retarded version of
-                // the driving waveform on that one pin.
-                const Waveform pin_wave =
-                    good[g.fanin[fault.site.pin]].with_slowed_edges(
-                        fault.slow_rising, fault.delta);
-                fanin_waves.clear();
-                for (std::uint32_t p = 0; p < g.fanin.size(); ++p) {
-                    fanin_waves.push_back(p == fault.site.pin
-                                              ? &pin_wave
-                                              : &good[g.fanin[p]]);
-                }
-                w = wave_sim_->eval_gate(id, fanin_waves);
-                ++scratch.gates_evaluated_;
-            }
-            if (!(w == good[id])) scratch.put(id) = std::move(w);
-            continue;
-        }
-
-        // Re-evaluate only if some fanin waveform changed.
-        bool any_faulty_input = false;
-        for (GateId f : g.fanin) {
-            if (scratch.has(f)) {
-                any_faulty_input = true;
-                break;
-            }
-        }
-        if (!any_faulty_input) continue;
-
-        if (!is_combinational(g.type)) {
-            // Output/Dff sinks mirror their fanin; record the difference
-            // implicitly via the driving gate (handled below).
-            continue;
-        }
-
+    const Gate& sg = nl.gate(site_gate);
+    if (fault.site.pin == FaultSite::kOutputPin) {
+        // Output fault: retard the slow edges of the gate's own output
+        // waveform.
+        scratch.overlay_[site_gate].assign_slowed(
+            good[site_gate], fault.slow_rising, fault.delta);
+    } else {
+        // Input-pin fault: the gate sees a retarded version of the
+        // driving waveform on that one pin.
+        scratch.pin_wave_.assign_slowed(good[sg.fanin[fault.site.pin]],
+                                        fault.slow_rising, fault.delta);
         fanin_waves.clear();
-        for (GateId f : g.fanin) {
+        for (std::uint32_t p = 0; p < sg.fanin.size(); ++p) {
+            fanin_waves.push_back(p == fault.site.pin ? &scratch.pin_wave_
+                                                      : &good[sg.fanin[p]]);
+        }
+        wave_sim_->eval_gate_into(site_gate, fanin_waves,
+                                  scratch.overlay_[site_gate], scratch.eval_);
+        ++scratch.gates_evaluated_;
+    }
+    settle(site_gate);
+
+    // Topological-rank order: a gate pops only after every fanin that
+    // can still change (all of lower rank) has been settled.
+    const auto topo = nl.topo_order();
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+        const GateId id = topo[heap.back()];
+        heap.pop_back();
+        fanin_waves.clear();
+        for (GateId f : nl.gate(id).fanin) {
             fanin_waves.push_back(scratch.has(f) ? &scratch.overlay_[f]
                                                  : &good[f]);
         }
-        Waveform w = wave_sim_->eval_gate(id, fanin_waves);
+        wave_sim_->eval_gate_into(id, fanin_waves, scratch.overlay_[id],
+                                  scratch.eval_);
         ++scratch.gates_evaluated_;
-        if (!(w == good[id])) scratch.put(id) = std::move(w);
+        settle(id);
     }
 
-    // Collect differences at observation points.
+    // Differences at the observation points, in observe-index order.
     std::vector<ObserveDiff> diffs;
+    std::sort(scratch.observed_.begin(), scratch.observed_.end());
     const auto ops = nl.observe_points();
-    for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
+    for (std::uint32_t oi : scratch.observed_) {
         const GateId sig = ops[oi].signal;
-        if (!scratch.has(sig)) continue;
         Waveform diff = Waveform::xor_of(good[sig], scratch.overlay_[sig]);
         if (!diff.is_constant() || diff.initial()) {
             diffs.push_back(ObserveDiff{oi, std::move(diff)});

@@ -1,27 +1,30 @@
 // Timing-accurate small delay fault simulation.
 //
 // For a fault (site, transition direction, size delta) and a pattern
-// pair, re-simulates the fanout cone of the fault site against the
+// pair, re-simulates the gates the fault effect reaches against the
 // fault-free waveforms and yields, per observation point, the XOR of
 // fault-free and faulty waveforms — the raw material of detection
 // ranges (Sec. III-B).  Only gates whose fanin waveforms actually
-// changed are re-evaluated, so cost scales with the affected cone.
+// changed are re-evaluated.
 //
 // Hot-path plumbing (the engine runs one simulate() per activated
 // (fault, pattern) pair, millions on the larger benches):
-//   * ConeCache memoizes Netlist::fanout_cone per fault-site gate; a
-//     cone is shared by both transition directions of a site and by
-//     every pattern, so the traversal + sort happens once per site.
+//   * event worklist: a min-heap of topological ranks, seeded from the
+//     site gate.  A gate is queued only when one of its fanins changed,
+//     and popped only after every fanin is final, so cost scales with
+//     the changed gates — there is no per-site fanout cone to build,
+//     cache or walk.  Observation points are collected through
+//     Netlist::observe_indices of the changed gates.
 //   * FaultSimScratch holds the faulty-waveform overlay as an
 //     epoch-stamped dense array indexed by GateId: membership tests
 //     are one load, and a new simulation "clears" the overlay by
-//     bumping the epoch instead of deallocating.  One scratch per
-//     thread; waveform buffers are recycled across calls.
+//     bumping the epoch instead of deallocating.  Gates are evaluated
+//     straight into their overlay slot through WaveSim::eval_gate_into,
+//     so every waveform and event buffer is recycled across calls.  One
+//     scratch per thread.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -61,31 +64,10 @@ struct ObserveDiff {
 [[nodiscard]] GateId fault_site_signal(const Netlist& netlist,
                                        const FaultSite& site);
 
-/// Thread-safe memo of Netlist::fanout_cone keyed by gate.  Entries are
-/// built lazily on first request and shared afterwards; concurrent
-/// first requests race benignly (one result is published, the others
-/// are discarded).
-class ConeCache {
-public:
-    explicit ConeCache(const Netlist& netlist);
-    ~ConeCache();
-
-    ConeCache(const ConeCache&) = delete;
-    ConeCache& operator=(const ConeCache&) = delete;
-
-    [[nodiscard]] const std::vector<GateId>& cone(GateId gate) const;
-
-    /// Number of cones materialized so far.
-    [[nodiscard]] std::size_t materialized() const;
-
-private:
-    const Netlist* netlist_;
-    mutable std::vector<std::atomic<const std::vector<GateId>*>> slots_;
-};
-
 /// Per-thread scratch state of the fault-simulation hot path: the dense
-/// epoch-stamped faulty-waveform overlay plus recycled buffers.  Not
-/// thread-safe; use one instance per worker.
+/// epoch-stamped faulty-waveform overlay, the event worklist and the
+/// recycled evaluation buffers.  Not thread-safe; use one instance per
+/// worker.
 class FaultSimScratch {
 public:
     FaultSimScratch() = default;
@@ -103,26 +85,26 @@ private:
     [[nodiscard]] bool has(GateId id) const {
         return stamp_[id] == epoch_;
     }
-    Waveform& put(GateId id) {
-        stamp_[id] = epoch_;
-        return overlay_[id];
-    }
 
+    // A gate's overlay_ slot holds its faulty waveform while its stamp
+    // equals epoch_ (a slot whose result equalled the fault-free wave is
+    // left dirty and unstamped); it sits on (or has left) the heap while
+    // its queued stamp does.
     std::vector<Waveform> overlay_;
     std::vector<std::uint32_t> stamp_;
+    std::vector<std::uint32_t> queued_;
     std::uint32_t epoch_ = 0;
+    std::vector<std::uint32_t> heap_;      ///< min-heap of topo ranks
+    std::vector<std::uint32_t> observed_;  ///< observe indices that changed
     std::vector<const Waveform*> fanin_waves_;
-    std::vector<GateId> cone_storage_;  ///< used only without a ConeCache
+    Waveform pin_wave_;  ///< slowed fanin of an input-pin fault
+    GateEvalScratch eval_;
     std::uint64_t gates_evaluated_ = 0;
 };
 
 class FaultSim {
 public:
-    /// `cones` (optional) shares memoized fanout cones across FaultSim
-    /// instances and threads; without it every simulate() call
-    /// recomputes the cone of its site.
-    explicit FaultSim(const WaveSim& wave_sim,
-                      const ConeCache* cones = nullptr);
+    explicit FaultSim(const WaveSim& wave_sim);
 
     /// Re-simulates `fault` against the fault-free waveforms `good`
     /// (as produced by WaveSim::simulate for the same pattern pair).
@@ -131,7 +113,7 @@ public:
         const DelayFault& fault, std::span<const Waveform> good) const;
 
     /// Hot-path variant: identical result, state kept in `scratch`
-    /// (dense overlay, no per-call allocation).
+    /// (dense overlay, no per-call allocation beyond the returned diffs).
     [[nodiscard]] std::vector<ObserveDiff> simulate(
         const DelayFault& fault, std::span<const Waveform> good,
         FaultSimScratch& scratch) const;
@@ -148,7 +130,6 @@ private:
         const FaultSite& site, std::span<const Waveform> good) const;
 
     const WaveSim* wave_sim_;
-    const ConeCache* cones_;
 };
 
 }  // namespace fastmon

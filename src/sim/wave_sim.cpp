@@ -29,22 +29,30 @@ Time WaveSim::inertial_threshold(GateId gate) const {
 
 Waveform WaveSim::eval_gate(
     GateId gate, std::span<const Waveform* const> fanin_waves) const {
+    Waveform out;
+    GateEvalScratch scratch;
+    eval_gate_into(gate, fanin_waves, out, scratch);
+    return out;
+}
+
+void WaveSim::eval_gate_into(GateId gate,
+                             std::span<const Waveform* const> fanin_waves,
+                             Waveform& out, GateEvalScratch& scratch) const {
     const Gate& g = netlist_->gate(gate);
     assert(fanin_waves.size() == g.fanin.size());
 
     if (!is_combinational(g.type)) {
         // Output pads and DFF D pins observe their fanin directly.
-        return *fanin_waves[0];
+        out = *fanin_waves[0];
+        return;
     }
 
     const auto arity = static_cast<std::uint32_t>(g.fanin.size());
 
     // Gather all input events: (input time, pin).
-    struct InEvent {
-        Time t;
-        std::uint32_t pin;
-    };
-    std::vector<InEvent> in_events;
+    using InEvent = GateEvalScratch::InEvent;
+    auto& in_events = scratch.in_events_;
+    in_events.clear();
     for (std::uint32_t pin = 0; pin < arity; ++pin) {
         for (Time t : fanin_waves[pin]->transitions()) {
             in_events.push_back(InEvent{t, pin});
@@ -67,7 +75,8 @@ Waveform WaveSim::eval_gate(
     // later input state supersedes any pending output event at an equal
     // or later time (unequal pin delays can schedule out of order; the
     // newest computation of the output value wins).
-    std::vector<std::pair<Time, bool>> pending;  // (time, value-after)
+    auto& pending = scratch.pending_;
+    pending.clear();
     auto scheduled_value = [&pending, out_initial] {
         return pending.empty() ? out_initial : pending.back().second;
     };
@@ -95,9 +104,12 @@ Waveform WaveSim::eval_gate(
         if (v != scheduled_value()) pending.emplace_back(when, v);
     }
 
-    Waveform out = Waveform::from_events(out_initial, pending);
-    out.filter_pulses(inertial_threshold(gate));
-    return out;
+    out.assign_events(out_initial, pending);
+    // filter_pulses is a no-op below two transitions; skip the
+    // threshold's fanin walk there.
+    if (out.num_transitions() >= 2) {
+        out.filter_pulses(inertial_threshold(gate));
+    }
 }
 
 std::vector<Waveform> WaveSim::simulate(std::span<const Bit> v1,
@@ -108,6 +120,7 @@ std::vector<Waveform> WaveSim::simulate(std::span<const Bit> v1,
 
     std::vector<Waveform> waves(nl.size(), Waveform::constant(false));
     std::vector<const Waveform*> fanin_waves;
+    GateEvalScratch scratch;
     for (GateId id : nl.topo_order()) {
         const Gate& g = nl.gate(id);
         const std::uint32_t src = nl.source_index(id);
@@ -119,7 +132,7 @@ std::vector<Waveform> WaveSim::simulate(std::span<const Bit> v1,
         }
         fanin_waves.clear();
         for (GateId f : g.fanin) fanin_waves.push_back(&waves[f]);
-        waves[id] = eval_gate(id, fanin_waves);
+        eval_gate_into(id, fanin_waves, waves[id], scratch);
     }
     return waves;
 }

@@ -21,20 +21,26 @@ Waveform Waveform::step(bool initial, Time t) {
 Waveform Waveform::from_events(bool initial,
                                std::span<const std::pair<Time, bool>> events) {
     Waveform w;
-    w.initial_ = initial;
+    w.assign_events(initial, events);
+    return w;
+}
+
+void Waveform::assign_events(bool initial,
+                             std::span<const std::pair<Time, bool>> events) {
+    initial_ = initial;
+    transitions_.clear();
     bool value = initial;
     for (const auto& [t, v] : events) {
         if (v == value) continue;
         // A toggle landing at (or before) the previous one cancels it
         // (the later-scheduled value wins at equal times).
-        if (!w.transitions_.empty() && t <= w.transitions_.back() + kTimeEps) {
-            w.transitions_.pop_back();
+        if (!transitions_.empty() && t <= transitions_.back() + kTimeEps) {
+            transitions_.pop_back();
         } else {
-            w.transitions_.push_back(t);
+            transitions_.push_back(t);
         }
         value = v;
     }
-    return w;
 }
 
 bool Waveform::value_at(Time t) const {
@@ -46,39 +52,46 @@ bool Waveform::value_at(Time t) const {
 
 void Waveform::filter_pulses(Time min_width) {
     if (min_width <= 0.0 || transitions_.size() < 2) return;
-    std::vector<Time> kept;
-    kept.reserve(transitions_.size());
-    for (Time t : transitions_) {
-        if (!kept.empty() && t - kept.back() < min_width - kTimeEps) {
-            kept.pop_back();  // the pulse [back, t) is swallowed
+    // Stack compaction in place: transitions_[0, kept) is the surviving
+    // prefix, and kept never overtakes the read index.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < transitions_.size(); ++i) {
+        const Time t = transitions_[i];
+        if (kept != 0 && t - transitions_[kept - 1] < min_width - kTimeEps) {
+            --kept;  // the pulse [back, t) is swallowed
         } else {
-            kept.push_back(t);
+            transitions_[kept++] = t;
         }
     }
-    transitions_ = std::move(kept);
+    transitions_.resize(kept);
 }
 
 Waveform Waveform::with_slowed_edges(bool rising, Time delta) const {
+    Waveform w;
+    w.assign_slowed(*this, rising, delta);
+    return w;
+}
+
+void Waveform::assign_slowed(const Waveform& src, bool rising, Time delta) {
     // Delay the affected edge direction; when a delayed edge is
     // overtaken by its successor, the pulse between them is swallowed
     // (a delay element cannot emit an end-of-pulse before the pulse
     // started).  Classic edge-cancellation stack: edges arrive in the
     // original order; an edge landing at or before the previous
     // surviving edge cancels it, removing the pulse pair.
-    Waveform w;
-    w.initial_ = initial_;
-    bool value = initial_;
-    for (Time t : transitions_) {
+    initial_ = src.initial_;
+    transitions_.clear();
+    bool value = src.initial_;
+    for (Time t : src.transitions_) {
         value = !value;
         const Time shifted = value == rising ? t + delta : t;
-        if (!w.transitions_.empty() &&
-            shifted <= w.transitions_.back() + kTimeEps) {
-            w.transitions_.pop_back();
+        if (!transitions_.empty() &&
+            shifted <= transitions_.back() + kTimeEps) {
+            transitions_.pop_back();
         } else {
-            w.transitions_.push_back(shifted);
+            transitions_.push_back(shifted);
         }
     }
-    return w;
 }
 
 Waveform Waveform::xor_of(const Waveform& a, const Waveform& b) {

@@ -30,6 +30,11 @@ public:
     static Waveform from_events(bool initial,
                                 std::span<const std::pair<Time, bool>> events);
 
+    /// Buffer-reusing form of from_events: overwrites this waveform,
+    /// keeping the capacity of its transition buffer.
+    void assign_events(bool initial,
+                       std::span<const std::pair<Time, bool>> events);
+
     [[nodiscard]] bool initial() const { return initial_; }
     [[nodiscard]] bool final() const {
         return (transitions_.size() % 2 == 0) == initial_;
@@ -49,7 +54,7 @@ public:
 
     /// Inertial pulse filtering: repeatedly cancels adjacent transition
     /// pairs closer than min_width, modelling pulses swallowed by the
-    /// gate's output stage.
+    /// gate's output stage.  Works in place (no allocation).
     void filter_pulses(Time min_width);
 
     /// Shifts every transition of the given direction (rising if
@@ -57,6 +62,10 @@ public:
     /// manifestation of a slow-to-rise / slow-to-fall small delay fault
     /// of size delta at this signal.
     [[nodiscard]] Waveform with_slowed_edges(bool rising, Time delta) const;
+
+    /// Buffer-reusing form of with_slowed_edges: this waveform becomes
+    /// `src.with_slowed_edges(rising, delta)`.  `src` must not be *this.
+    void assign_slowed(const Waveform& src, bool rising, Time delta);
 
     /// Pointwise XOR of two waveforms.
     static Waveform xor_of(const Waveform& a, const Waveform& b);

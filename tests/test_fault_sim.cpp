@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "netlist/builder.hpp"
 #include "netlist/generator.hpp"
 #include "timing/sta_engine.hpp"
@@ -300,6 +306,193 @@ TEST_P(ConeVsFullResim, OverlayMatchesFullResimulation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConeVsFullResim,
                          ::testing::Range<std::uint64_t>(1, 7));
+
+// Whole-circuit faulty re-simulation, observed like FaultSim::simulate:
+// the slow reference the event worklist must reproduce.
+std::vector<ObserveDiff> full_resim_diffs(const WaveSim& sim,
+                                          const DelayFault& fault,
+                                          std::span<const Waveform> good) {
+    const Netlist& nl = sim.netlist();
+    const FaultSite& site = fault.site;
+    std::vector<Waveform> faulty(good.begin(), good.end());
+    std::vector<const Waveform*> fanin_waves;
+    for (GateId id : nl.topo_order()) {
+        if (nl.source_index(id) != std::numeric_limits<std::uint32_t>::max()) {
+            continue;
+        }
+        const Gate& g = nl.gate(id);
+        fanin_waves.clear();
+        for (GateId f : g.fanin) fanin_waves.push_back(&faulty[f]);
+        Waveform pin_wave;
+        if (site.gate == id && site.pin != FaultSite::kOutputPin) {
+            pin_wave = faulty[g.fanin[site.pin]].with_slowed_edges(
+                fault.slow_rising, fault.delta);
+            fanin_waves[site.pin] = &pin_wave;
+        }
+        faulty[id] = sim.eval_gate(id, fanin_waves);
+        if (site.gate == id && site.pin == FaultSite::kOutputPin) {
+            faulty[id] =
+                faulty[id].with_slowed_edges(fault.slow_rising, fault.delta);
+        }
+    }
+    std::vector<ObserveDiff> diffs;
+    const auto ops = nl.observe_points();
+    for (std::uint32_t oi = 0; oi < ops.size(); ++oi) {
+        Waveform x =
+            Waveform::xor_of(good[ops[oi].signal], faulty[ops[oi].signal]);
+        if (!x.is_constant() || x.initial()) {
+            diffs.push_back(ObserveDiff{oi, std::move(x)});
+        }
+    }
+    return diffs;
+}
+
+void expect_same_diffs(const std::vector<ObserveDiff>& got,
+                       const std::vector<ObserveDiff>& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t d = 0; d < got.size(); ++d) {
+        EXPECT_EQ(got[d].observe_index, want[d].observe_index) << "diff " << d;
+        EXPECT_EQ(got[d].diff, want[d].diff) << "diff " << d;
+    }
+}
+
+// One scratch recycled across interleaved faults, patterns and two
+// netlists of different sizes must behave exactly like a fresh scratch
+// per call (same diffs, same number of gate evaluations), and both must
+// match whole-circuit re-simulation.
+TEST(FaultSim, ReusedScratchMatchesFreshPerCall) {
+    // s fans out to a Dff D input (d1 -> q, observe index 3) at a low
+    // topological rank and, through a three-gate chain, to the primary
+    // output o (observe index 0) at a high one, so its effect reaches
+    // the observation points out of index order.  m drives the primary
+    // output m and the D input of r (two observation points) and feeds
+    // both sinks directly.  k = c & b masks a fault on its b pin while
+    // c is 0: the effect dies at the site.
+    NetlistBuilder b("reuse");
+    b.input("a").input("b").input("c").dff_declare("q");
+    b.nand2("s", "a", "b");
+    b.buf("d1", "s").buf("t1", "s").inv("t2", "t1").buf("t3", "t2");
+    b.and2("o", "t3", "q");
+    b.xor2("m", "s", "c");
+    b.and2("k", "c", "b");
+    b.output("o").output("m").output("k");
+    b.dff_connect("q", "d1").dff("r", "m");
+    const Netlist small = b.build();
+    ASSERT_EQ(small.observe_points().size(), 5u);
+    ASSERT_EQ(small.observe_points()[3].signal, small.find("d1"));
+    ASSERT_EQ(small.observe_indices(small.find("m")).size(), 2u);
+
+    GeneratorConfig gc;
+    gc.name = "reuse_gen";
+    gc.n_gates = 150;
+    gc.n_ffs = 12;
+    gc.n_inputs = 8;
+    gc.n_outputs = 8;
+    gc.depth = 8;
+    gc.spread = 0.5;
+    gc.seed = 4242;
+    const Netlist big = generate_circuit(gc);
+    ASSERT_NE(big.size(), small.size());
+
+    const DelayAnnotation small_ann = DelayAnnotation::nominal(small);
+    const DelayAnnotation big_ann = DelayAnnotation::nominal(big);
+    const WaveSim small_sim(small, small_ann);
+    const WaveSim big_sim(big, big_ann);
+
+    struct Case {
+        const WaveSim* sim;
+        std::shared_ptr<const std::vector<Waveform>> good;
+        DelayFault fault;
+    };
+    std::vector<Case> cases;
+    Prng rng(77);
+    auto add_pattern = [&](const WaveSim& sim, std::vector<Bit> v1,
+                           std::vector<Bit> v2, std::size_t max_faults) {
+        auto good = std::make_shared<const std::vector<Waveform>>(
+            sim.simulate(v1, v2));
+        const Netlist& nl = sim.netlist();
+        std::size_t added = 0;
+        for (GateId id = 0; id < nl.size() && added < max_faults; ++id) {
+            const Gate& g = nl.gate(id);
+            if (!is_combinational(g.type)) continue;
+            for (std::uint32_t pin = 0; pin <= g.fanin.size(); ++pin) {
+                for (const bool rising : {true, false}) {
+                    DelayFault f;
+                    f.site = FaultSite{id, pin == g.fanin.size()
+                                               ? FaultSite::kOutputPin
+                                               : pin};
+                    f.slow_rising = rising;
+                    f.delta = rng.uniform(2.0, 30.0);
+                    cases.push_back(Case{&sim, good, f});
+                }
+                ++added;
+            }
+        }
+    };
+    // Sources: a, b, c, q, r.  a: 1 -> 0 makes s rise (b = 1, c = 0);
+    // b: 0 -> 1 under c = 0 is masked at k; c: 0 -> 1 toggles m.
+    add_pattern(small_sim, {1, 1, 0, 1, 0}, {0, 1, 0, 1, 0}, SIZE_MAX);
+    add_pattern(small_sim, {1, 0, 0, 1, 1}, {1, 1, 0, 1, 1}, SIZE_MAX);
+    add_pattern(small_sim, {0, 0, 0, 0, 0}, {0, 0, 1, 0, 0}, SIZE_MAX);
+    const std::size_t n_src = big.comb_sources().size();
+    for (int p = 0; p < 4; ++p) {
+        std::vector<Bit> v1(n_src);
+        std::vector<Bit> v2(n_src);
+        for (std::size_t i = 0; i < n_src; ++i) {
+            v1[i] = rng.chance(0.5) ? 1 : 0;
+            v2[i] = rng.chance(0.5) ? 1 : 0;
+        }
+        add_pattern(big_sim, v1, v2, 60);
+    }
+    // Interleave netlists, patterns and faults on the recycled scratch.
+    for (std::size_t i = cases.size(); i > 1; --i) {
+        std::swap(cases[i - 1], cases[rng.next_below(i)]);
+    }
+
+    FaultSimScratch reused;
+    std::size_t died_at_site = 0;
+    std::size_t multi_observe = 0;
+    for (const Case& c : cases) {
+        const FaultSim fsim(*c.sim);
+        const std::vector<Waveform>& good = *c.good;
+        FaultSimScratch fresh;
+        const std::vector<ObserveDiff> want =
+            fsim.simulate(c.fault, good, fresh);
+        const std::uint64_t before = reused.gates_evaluated();
+        const std::vector<ObserveDiff> got =
+            fsim.simulate(c.fault, good, reused);
+        expect_same_diffs(got, want);
+        EXPECT_EQ(reused.gates_evaluated() - before, fresh.gates_evaluated());
+        expect_same_diffs(got, full_resim_diffs(*c.sim, c.fault, good));
+        if (fsim.activated(c.fault, good) && got.empty()) ++died_at_site;
+        if (got.size() >= 2) ++multi_observe;
+    }
+    EXPECT_GT(died_at_site, 0u);
+    EXPECT_GT(multi_observe, 0u);
+
+    // Directed: the b-pin fault of k under pattern 2 is masked at the
+    // site; the output fault of m reaches both of m's observation points.
+    const FaultSim small_fsim(small_sim);
+    const auto good2 = small_sim.simulate(std::vector<Bit>{1, 0, 0, 1, 1},
+                                          std::vector<Bit>{1, 1, 0, 1, 1});
+    DelayFault masked;
+    masked.site = FaultSite{small.find("k"), 1};
+    masked.slow_rising = true;
+    masked.delta = 10.0;
+    ASSERT_TRUE(small_fsim.activated(masked, good2));
+    EXPECT_TRUE(small_fsim.simulate(masked, good2, reused).empty());
+
+    const auto good3 = small_sim.simulate(std::vector<Bit>{0, 0, 0, 0, 0},
+                                          std::vector<Bit>{0, 0, 1, 0, 0});
+    DelayFault at_m;
+    at_m.site = FaultSite{small.find("m"), FaultSite::kOutputPin};
+    at_m.slow_rising = false;  // s = 1, so m = !c falls
+    at_m.delta = 10.0;
+    const auto m_diffs = small_fsim.simulate(at_m, good3, reused);
+    ASSERT_EQ(m_diffs.size(), 2u);
+    EXPECT_EQ(m_diffs[0].observe_index, 1u);
+    EXPECT_EQ(m_diffs[1].observe_index, 4u);
+}
 
 }  // namespace
 }  // namespace fastmon

@@ -1,6 +1,6 @@
 // Randomized differential test of the fault-simulation engine's fast
-// path (bit-parallel activation screen + cone cache + dense overlay +
-// thread pool) against a naive reference that re-simulates the entire
+// path (bit-parallel activation screen + event worklist + dense overlay
+// + thread pool) against a naive reference that re-simulates the entire
 // circuit for every (fault, pattern) pair with no screening at all.
 // The engine promises bit-identical results regardless of worker count.
 #include <gtest/gtest.h>
@@ -185,7 +185,7 @@ TEST_P(FaultSimEquivalence, FastPathMatchesNaiveReference) {
                       c.pairs_simulated,
                   c.pairs_total);
         EXPECT_LE(c.pairs_detected, c.pairs_simulated);
-        EXPECT_GT(c.cones_cached, 0u);
+        EXPECT_GT(c.gates_reevaluated, 0u);
     }
 }
 
@@ -242,6 +242,34 @@ TEST_P(FaultSimEquivalence, DetectionTableMatchesAcrossThreadCounts) {
             EXPECT_EQ(tables[t][i].config, tables[0][i].config);
             EXPECT_EQ(tables[t][i].period, tables[0][i].period);
         }
+    }
+}
+
+// Both passes count their pairs and their fault-simulation time: pass B
+// adds exactly one simulated pair per (fault, active pattern) and
+// strictly raises fault_sim_seconds.
+TEST_P(FaultSimEquivalence, CountersCoverBothPasses) {
+    const Scenario sc(GetParam());
+    const std::vector<Time> periods{sc.sta.clock_period};
+    const std::vector<Time> config_delays{0.0, sc.sta.clock_period * 0.2};
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+        SCOPED_TRACE("num_threads=" + std::to_string(threads));
+        DetectionAnalysisConfig dac = sc.dac;
+        dac.num_threads = threads;
+        const DetectionAnalyzer analyzer(sc.sim, sc.patterns, sc.monitored,
+                                         dac);
+        const auto ranges = analyzer.analyze(sc.faults);
+        std::uint64_t active = 0;
+        for (const FaultRanges& r : ranges) active += r.active_patterns.size();
+        ASSERT_GT(active, 0u);
+
+        const DetectionCounters a = analyzer.counters();
+        (void)analyzer.detection_table(sc.faults, ranges, periods,
+                                       config_delays);
+        const DetectionCounters b = analyzer.counters();
+        EXPECT_EQ(b.pairs_simulated - a.pairs_simulated, active);
+        EXPECT_GT(b.fault_sim_seconds, a.fault_sim_seconds);
+        EXPECT_GT(b.gates_reevaluated, a.gates_reevaluated);
     }
 }
 

@@ -271,7 +271,7 @@ TEST(Metrics, DetectionCountersToJsonCoversEveryField) {
     c.analyze_seconds = 0.5;
     const Json j = c.to_json();
     ASSERT_TRUE(j.is_object());
-    EXPECT_EQ(j.as_object().size(), 13u);
+    EXPECT_EQ(j.as_object().size(), 12u);
     EXPECT_DOUBLE_EQ(j.find("pairs_total")->as_number(), 10.0);
     EXPECT_DOUBLE_EQ(j.find("pairs_detected")->as_number(), 4.0);
     EXPECT_DOUBLE_EQ(j.find("analyze_seconds")->as_number(), 0.5);

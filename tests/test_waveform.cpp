@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "util/prng.hpp"
 
 namespace fastmon {
@@ -212,6 +215,70 @@ TEST_P(SlowEdgeProperty, SlowedEdgeInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SlowEdgeProperty,
                          ::testing::Range<std::uint64_t>(1, 17));
+
+// The copying pulse filter the in-place one replaced (reference).
+std::vector<Time> filtered_copy(const Waveform& w, Time min_width) {
+    std::vector<Time> kept(w.transitions().begin(), w.transitions().end());
+    if (min_width <= 0.0 || kept.size() < 2) return kept;
+    kept.clear();
+    for (Time t : w.transitions()) {
+        if (!kept.empty() && t - kept.back() < min_width - kTimeEps) {
+            kept.pop_back();
+        } else {
+            kept.push_back(t);
+        }
+    }
+    return kept;
+}
+
+// Property: the buffer-reusing builders give exactly what the
+// allocating ones give, whatever the target held before.
+TEST(Waveform, BufferReuseMatchesAllocatingBuilders) {
+    Prng rng(20261017);
+    for (int trial = 0; trial < 400; ++trial) {
+        // Sorted events with ties, non-toggles and near-coincident
+        // toggles, so every cancellation branch is taken.
+        std::vector<std::pair<Time, bool>> events;
+        Time t = 0.0;
+        const auto n = static_cast<int>(rng.next_below(24));
+        for (int i = 0; i < n; ++i) {
+            if (!rng.chance(0.2)) t += rng.uniform(0.0, 3.0);
+            events.emplace_back(t, rng.chance(0.5));
+        }
+        const bool initial = rng.chance(0.5);
+        const Waveform want = Waveform::from_events(initial, events);
+
+        // A target holding a longer waveform of the other polarity.
+        std::vector<std::pair<Time, bool>> stale_events;
+        bool v = !initial;
+        for (int i = 0; i < n + 8; ++i) {
+            v = !v;
+            stale_events.emplace_back(100.0 + i, v);
+        }
+        const Waveform stale = Waveform::from_events(!initial, stale_events);
+        ASSERT_GT(stale.num_transitions(), want.num_transitions());
+
+        Waveform assigned = stale;
+        assigned.assign_events(initial, events);
+        EXPECT_EQ(assigned, want);
+
+        for (const bool rising : {true, false}) {
+            const Time delta = rng.uniform(0.0, 4.0);
+            Waveform slowed = stale;
+            slowed.assign_slowed(want, rising, delta);
+            EXPECT_EQ(slowed, want.with_slowed_edges(rising, delta));
+        }
+
+        const Time width = rng.uniform(0.0, 3.0);
+        Waveform filtered = stale;
+        filtered.assign_events(initial, events);
+        filtered.filter_pulses(width);
+        EXPECT_EQ(filtered.initial(), initial);
+        const std::vector<Time> got(filtered.transitions().begin(),
+                                    filtered.transitions().end());
+        EXPECT_EQ(got, filtered_copy(want, width)) << "width " << width;
+    }
+}
 
 }  // namespace
 }  // namespace fastmon
