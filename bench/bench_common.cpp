@@ -96,7 +96,7 @@ namespace {
 std::string cache_key(const BenchSettings& settings,
                       const CircuitProfile& profile) {
     std::ostringstream os;
-    os << profile.name << "_v5_g" << settings.max_gates << "_f"
+    os << profile.name << "_v6_g" << settings.max_gates << "_f"
        << settings.max_faults << (settings.fast ? "_fast" : "");
     return os.str();
 }
@@ -133,6 +133,7 @@ std::string serialize_result(const HdfFlowResult& r) {
     os << "opti_pc " << r.opti_pc << '\n';
     os << "pc_reduction " << r.pc_reduction_percent << '\n';
     os << "schedule_optimal " << (r.schedule_proven_optimal ? 1 : 0) << '\n';
+    os << "schedule_lower_bound " << r.schedule_lower_bound << '\n';
     os << "schedule_uncovered " << r.schedule_uncovered << '\n';
     os << "clock_period " << r.clock_period << '\n';
     os << "t_min " << r.t_min << '\n';
@@ -205,6 +206,8 @@ bool deserialize_result(const std::string& text, HdfFlowResult& r) {
             int v = 0;
             is >> v;
             r.schedule_proven_optimal = v != 0;
+        } else if (key == "schedule_lower_bound") {
+            is >> r.schedule_lower_bound;
         } else if (key == "schedule_uncovered") {
             is >> r.schedule_uncovered;
         } else if (key == "clock_period") {

@@ -599,6 +599,7 @@ HdfFlowResult HdfFlow::run() {
                 schedule_reduction_percent(res.opti_pc, res.orig_pc);
             res.schedule_proven_optimal =
                 pc.proven_optimal && sel_prop.proven_optimal;
+            res.schedule_lower_bound = pc.lower_bound;
             res.schedule_uncovered = pc.uncovered_faults.size();
         });
     } else {
@@ -652,6 +653,11 @@ HdfFlowResult HdfFlow::run() {
     return res;
 }
 
+std::string HdfFlowResult::schedule_optimality() const {
+    if (schedule_proven_optimal) return "optimal";
+    return std::to_string(opti_pc - schedule_lower_bound) + " above bound";
+}
+
 RunManifest HdfFlow::manifest(const HdfFlowResult& result) const {
     RunManifest m;
 
@@ -680,6 +686,11 @@ RunManifest HdfFlow::manifest(const HdfFlowResult& result) const {
     }
     Json metrics = reg.to_json();
     metrics.set("detection", result.detection.to_json());
+    Json schedule = Json::object();
+    schedule.set("size", result.opti_pc);
+    schedule.set("lower_bound", result.schedule_lower_bound);
+    schedule.set("optimality", result.schedule_optimality());
+    metrics.set("schedule", std::move(schedule));
     m.set_metrics(std::move(metrics));
     return m;
 }

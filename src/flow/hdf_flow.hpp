@@ -119,6 +119,8 @@ struct HdfFlowResult {
     std::size_t opti_pc = 0;
     double pc_reduction_percent = 0.0;
     bool schedule_proven_optimal = false;
+    /// Lower bound on opti_pc (PatternConfigResult::lower_bound).
+    std::size_t schedule_lower_bound = 0;
     std::size_t schedule_uncovered = 0;
     // --- Table III ---
     std::vector<CoverageRow> coverage_rows;
@@ -137,6 +139,10 @@ struct HdfFlowResult {
     /// Per-phase outcomes and cancellation record.  status.complete()
     /// distinguishes a full run from a degraded (partial) one.
     FlowStatus status;
+
+    /// "optimal" when the schedule is proven optimal, else
+    /// "<opti_pc - schedule_lower_bound> above bound".
+    [[nodiscard]] std::string schedule_optimality() const;
 };
 
 class HdfFlow {

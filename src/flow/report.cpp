@@ -27,7 +27,7 @@ void print_table1(std::ostream& os, std::span<const HdfFlowResult> rows) {
 
 void print_table2(std::ostream& os, std::span<const HdfFlowResult> rows) {
     TextTable t({"Circuit", "F conv.", "F heur.", "F prop.", "d%|F|",
-                 "PC orig.", "PC opti.", "d%|PC|"});
+                 "PC orig.", "PC opti.", "d%|PC|", "PC bound", "PC opt."});
     for (const HdfFlowResult& r : rows) {
         t.begin_row();
         t.cell(r.circuit);
@@ -38,6 +38,8 @@ void print_table2(std::ostream& os, std::span<const HdfFlowResult> rows) {
         t.cell(r.orig_pc);
         t.cell(r.opti_pc);
         t.cell_percent(r.pc_reduction_percent);
+        t.cell(r.schedule_lower_bound);
+        t.cell(r.schedule_optimality());
     }
     t.print(os);
 }

@@ -1,6 +1,7 @@
 #include "opt/set_cover.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -215,6 +216,9 @@ struct CoverSearch {
 
     std::size_t best_count = SIZE_MAX;
     std::vector<bool> best_chosen;
+    /// No cover has fewer sets; the full-cover DFS stops once the
+    /// incumbent meets it.
+    std::size_t root_bound = 0;
     std::size_t nodes = 0;
     bool exhausted = false;
     std::uint64_t max_set_weight = 1;
@@ -288,6 +292,44 @@ struct CoverSearch {
         }
     }
 
+    /// Greedy disjoint-element packing (ascending cover degree): no set
+    /// covers two packed elements, so every full cover needs at least
+    /// one set per packed element.
+    [[nodiscard]] std::size_t packing_bound() const {
+        std::vector<std::uint32_t> elements(inst.num_elements);
+        std::iota(elements.begin(), elements.end(), 0);
+        std::stable_sort(elements.begin(), elements.end(),
+                         [this](std::uint32_t a, std::uint32_t b) {
+                             return cover_by[a].size() < cover_by[b].size();
+                         });
+        std::vector<bool> stamped(inst.sets.size(), false);
+        std::size_t packed = 0;
+        for (std::uint32_t e : elements) {
+            if (std::any_of(cover_by[e].begin(), cover_by[e].end(),
+                            [&stamped](std::uint32_t s) { return stamped[s]; })) {
+                continue;
+            }
+            for (std::uint32_t s : cover_by[e]) stamped[s] = true;
+            ++packed;
+        }
+        return packed;
+    }
+
+    /// Fewest of order[idx..] (descending static weight) that reach the
+    /// target if each covered its full static weight; SIZE_MAX if all of
+    /// them fall short.
+    [[nodiscard]] std::size_t weight_bound(
+        std::size_t idx, const std::vector<std::uint32_t>& order) const {
+        const std::uint64_t remaining = target - covered_weight;
+        std::uint64_t acc = 0;
+        std::size_t need = 0;
+        for (std::size_t k = idx; k < order.size() && acc < remaining; ++k) {
+            acc += set_weight[order[k]];
+            ++need;
+        }
+        return acc < remaining ? SIZE_MAX : need;
+    }
+
     /// Full-cover DFS with element branching.
     void dfs_full() {
         ++nodes;
@@ -313,7 +355,7 @@ struct CoverSearch {
                 pick = e;
             }
         }
-        if (pick == UINT32_MAX) return;  // nothing uncovered but weight? no
+        if (pick == UINT32_MAX) return;
         // Try covering sets, largest static weight first.
         std::vector<std::uint32_t> order = cover_by[pick];
         std::sort(order.begin(), order.end(),
@@ -325,14 +367,13 @@ struct CoverSearch {
             const auto newly = apply(s);
             dfs_full();
             unapply(s, newly);
-            if (exhausted) return;
+            if (exhausted || best_count <= root_bound) return;
         }
     }
 
     /// Partial-cover DFS: include/exclude in static-weight order.
     void dfs_partial(std::size_t idx,
-                     const std::vector<std::uint32_t>& order,
-                     const std::vector<std::uint64_t>& suffix_best) {
+                     const std::vector<std::uint32_t>& order) {
         ++nodes;
         if (out_of_budget()) return;
         if (covered_weight >= target) {
@@ -340,28 +381,19 @@ struct CoverSearch {
             return;
         }
         if (idx >= order.size()) return;
-        // Bound: how many further sets are needed if each contributed its
-        // full static weight (sorted descending)?
-        const std::uint64_t remaining = target - covered_weight;
-        std::uint64_t acc = 0;
-        std::size_t need = 0;
-        for (std::size_t k = idx; k < order.size() && acc < remaining; ++k) {
-            acc += set_weight[order[k]];
-            ++need;
-        }
-        if (acc < remaining || chosen_count + need >= best_count) return;
-        (void)suffix_best;
+        const std::size_t need = weight_bound(idx, order);
+        if (need == SIZE_MAX || chosen_count + need >= best_count) return;
 
         // Include.
         const std::uint32_t s = order[idx];
         const auto newly = apply(s);
         if (chosen_count < best_count) {
-            dfs_partial(idx + 1, order, suffix_best);
+            dfs_partial(idx + 1, order);
         }
         unapply(s, newly);
         if (exhausted) return;
         // Exclude.
-        dfs_partial(idx + 1, order, suffix_best);
+        dfs_partial(idx + 1, order);
     }
 };
 
@@ -398,7 +430,8 @@ SetCoverResult solve_set_cover_impl(const SetCoverInstance& instance,
 
     if (reduced_target > 0) {
         if (full) {
-            search.dfs_full();
+            search.root_bound = search.packing_bound();
+            if (search.best_count > search.root_bound) search.dfs_full();
         } else {
             std::vector<std::uint32_t> order(red.inst.sets.size());
             std::iota(order.begin(), order.end(), 0);
@@ -406,13 +439,17 @@ SetCoverResult solve_set_cover_impl(const SetCoverInstance& instance,
                       [&search](std::uint32_t a, std::uint32_t b) {
                           return search.set_weight[a] > search.set_weight[b];
                       });
-            search.dfs_partial(0, order, {});
+            search.root_bound = search.weight_bound(0, order);
+            search.dfs_partial(0, order);
         }
     } else {
         search.best_count = 0;
         search.best_chosen.assign(red.inst.sets.size(), false);
     }
 
+    // Finite: the reduced sets cover every reduced element, so their
+    // static weights reach the (capped) reduced target.
+    const std::size_t lower_bound = red.forced.size() + search.root_bound;
     SetCoverResult result;
     result.nodes_explored = search.nodes;
     if (search.best_count == SIZE_MAX) {
@@ -420,6 +457,7 @@ SetCoverResult solve_set_cover_impl(const SetCoverInstance& instance,
         result = greedy_fallback;
         result.nodes_explored = search.nodes;
         result.proven_optimal = false;
+        result.lower_bound = result.feasible ? lower_bound : 0;
         return result;
     }
     for (std::uint32_t s : red.forced) result.chosen.push_back(s);
@@ -440,6 +478,7 @@ SetCoverResult solve_set_cover_impl(const SetCoverInstance& instance,
         if (covered[e]) result.covered_weight += instance.weight_of(e);
     }
     result.feasible = result.covered_weight >= global_target;
+    result.lower_bound = result.feasible ? lower_bound : 0;
 
     // The greedy fallback occasionally beats an exhausted search.
     if (!result.feasible ||
@@ -449,6 +488,7 @@ SetCoverResult solve_set_cover_impl(const SetCoverInstance& instance,
             SetCoverResult r = greedy_fallback;
             r.nodes_explored = search.nodes;
             r.proven_optimal = false;
+            r.lower_bound = lower_bound;
             return r;
         }
     }
@@ -463,11 +503,13 @@ SetCoverResult solve_set_cover(const SetCoverInstance& instance,
     SetCoverOptions effective = options;
     if (FaultInjector::global().trip("solver.budget")) {
         // Injected budget exhaustion: zero the exact-search budget so
-        // the solver takes its organic greedy-fallback path.
+        // the solver takes its organic greedy-fallback path unless the
+        // root bound already proves the greedy incumbent optimal.
         effective.max_nodes = 0;
         effective.time_limit_sec = 0.0;
     }
     SetCoverResult result = solve_set_cover_impl(instance, effective);
+    assert(result.lower_bound <= result.chosen.size());
     MetricsRegistry& reg = MetricsRegistry::global();
     reg.counter("opt.set_cover.solves").add(1);
     reg.counter("opt.set_cover.nodes").add(result.nodes_explored);
@@ -477,23 +519,6 @@ SetCoverResult solve_set_cover(const SetCoverInstance& instance,
         reg.counter("opt.set_cover.budget_exhausted").add(1);
     }
     return result;
-}
-
-IlpProblem set_cover_to_ilp(const SetCoverInstance& instance) {
-    IlpProblem p;
-    p.num_vars = instance.sets.size();
-    p.objective.assign(p.num_vars, 1.0);
-    std::vector<LpRow> rows(instance.num_elements);
-    for (std::uint32_t s = 0; s < instance.sets.size(); ++s) {
-        for (std::uint32_t e : instance.sets[s]) {
-            rows[e].coeffs.emplace_back(s, 1.0);
-        }
-    }
-    for (LpRow& r : rows) {
-        r.rhs = 1.0;
-        if (!r.coeffs.empty()) p.rows.push_back(std::move(r));
-    }
-    return p;
 }
 
 }  // namespace fastmon

@@ -1,34 +1,11 @@
 #include "schedule/freq_select.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
 namespace fastmon {
-
-std::optional<std::vector<Time>> stabbing_periods(
-    std::span<const IntervalSet> fault_ranges) {
-    std::vector<Interval> intervals;
-    for (const IntervalSet& r : fault_ranges) {
-        if (r.empty()) continue;
-        if (r.size() > 1) return std::nullopt;
-        intervals.push_back(r[0]);
-    }
-    std::sort(intervals.begin(), intervals.end(),
-              [](const Interval& a, const Interval& b) { return a.hi < b.hi; });
-    std::vector<Time> points;
-    Time last = -std::numeric_limits<Time>::infinity();
-    for (const Interval& iv : intervals) {
-        if (last >= iv.lo && last < iv.hi) continue;  // already pierced
-        // Pierce strictly inside the half-open interval, just below hi
-        // (the earliest-deadline point of the classic exchange argument).
-        last = iv.hi - 1e-6 * iv.length();
-        points.push_back(last);
-    }
-    return points;
-}
 
 FrequencySelection select_frequencies(
     std::span<const IntervalSet> fault_ranges,
@@ -38,31 +15,6 @@ FrequencySelection select_frequencies(
     reg.counter("schedule.freq_select.calls").add(1);
     reg.counter("schedule.freq_select.faults").add(fault_ranges.size());
     FrequencySelection sel;
-
-    if (options.method == SelectMethod::Stabbing && options.coverage >= 1.0) {
-        if (const auto points = stabbing_periods(fault_ranges)) {
-            sel.periods = *points;
-            sel.proven_optimal = true;
-            sel.feasible = true;
-            std::vector<bool> fault_done(fault_ranges.size(), false);
-            for (Time t : sel.periods) {
-                std::vector<std::uint32_t> covered;
-                for (std::uint32_t fi = 0; fi < fault_ranges.size(); ++fi) {
-                    if (fault_ranges[fi].contains(t)) {
-                        covered.push_back(fi);
-                        if (!fault_done[fi]) {
-                            fault_done[fi] = true;
-                            ++sel.num_covered_faults;
-                        }
-                    }
-                }
-                sel.covered.push_back(std::move(covered));
-            }
-            reg.counter("schedule.freq_select.periods").add(sel.periods.size());
-            return sel;
-        }
-        // Multi-interval ranges: fall through to branch and bound.
-    }
 
     const DiscretizationResult disc =
         discretize_observation_times(fault_ranges, options.discretize);
@@ -103,6 +55,7 @@ FrequencySelection select_frequencies(
     sel.feasible = cover.feasible;
     sel.proven_optimal =
         options.method != SelectMethod::Greedy && cover.proven_optimal;
+    sel.lower_bound = cover.lower_bound;
 
     std::vector<std::uint32_t> chosen = cover.chosen;
     std::sort(chosen.begin(), chosen.end(), [&disc](std::uint32_t a, std::uint32_t b) {

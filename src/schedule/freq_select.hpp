@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -22,18 +21,7 @@ namespace fastmon {
 enum class SelectMethod : std::uint8_t {
     Greedy,         ///< heuristic baseline [17]
     BranchAndBound, ///< exact within budget (the paper's ILP)
-    /// Exact interval stabbing (classic earliest-right-endpoint sweep):
-    /// provably minimal when every fault's detection range is a single
-    /// contiguous interval; falls back to BranchAndBound otherwise.
-    /// Only supports full coverage.
-    Stabbing,
 };
-
-/// Minimum piercing points for single-interval ranges (empty ranges are
-/// skipped); returns std::nullopt if some range has several intervals
-/// or `coverage`-style partial covering is requested elsewhere.
-std::optional<std::vector<Time>> stabbing_periods(
-    std::span<const IntervalSet> fault_ranges);
 
 struct FrequencySelection {
     /// Selected test clock periods, increasing.
@@ -42,6 +30,8 @@ struct FrequencySelection {
     std::vector<std::vector<std::uint32_t>> covered;
     std::size_t num_covered_faults = 0;
     bool proven_optimal = false;
+    /// Lower bound on the number of periods (SetCoverResult::lower_bound).
+    std::size_t lower_bound = 0;
     bool feasible = false;
 };
 

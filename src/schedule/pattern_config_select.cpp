@@ -96,6 +96,8 @@ PatternConfigResult select_pattern_configs(
             !cover.proven_optimal) {
             result.proven_optimal = false;
         }
+        result.lower_bound +=
+            cover.proven_optimal ? cover.chosen.size() : cover.lower_bound;
         for (std::uint32_t s : cover.chosen) {
             result.schedule.entries.push_back(ScheduleEntry{
                 pi, column_keys[s].first, column_keys[s].second});

@@ -31,6 +31,9 @@ struct PatternConfigResult {
     /// on the same periods that cover them.
     std::vector<std::uint32_t> uncovered_faults;
     bool proven_optimal = false;
+    /// Lower bound on schedule.size(): per period, the optimum where the
+    /// solve proved it, SetCoverResult::lower_bound otherwise.
+    std::size_t lower_bound = 0;
 };
 
 /// `entries` is the pass-B detection table over `periods` (period

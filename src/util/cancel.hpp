@@ -1,8 +1,8 @@
 // Cooperative cancellation for the whole HDF flow.
 //
-// Long-running engines (fault simulation, ATPG, the set-cover and ILP
-// solvers, STA) poll one process-wide CancelToken at their existing
-// loop boundaries.  Polling costs a single relaxed atomic load, so the
+// Long-running engines (fault simulation, ATPG, the set-cover search,
+// STA) poll one process-wide CancelToken at their existing loop
+// boundaries.  Polling costs a single relaxed atomic load, so the
 // checks can live in hot paths permanently — the same discipline the
 // tracer uses for disabled spans.
 //

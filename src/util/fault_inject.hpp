@@ -12,7 +12,8 @@
 // Known points (grep for fault_injection_point to enumerate):
 //   parser.bench / parser.verilog / parser.sdf / parser.pattern /
 //   parser.json                  -> forced Diagnostic from the parser
-//   solver.budget                -> set-cover/ILP budget exhaustion
+//   solver.budget                -> zero set-cover search budget (the
+//                                   root bound can still prove a solve)
 //   pool.task                    -> exception from inside a pool task
 //   cancel.<phase>               -> cancellation request at phase entry
 //   cancel.fault_sim_mid         -> cancellation mid fault-simulation

@@ -155,6 +155,9 @@ bool ThreadPool::pop_task(std::size_t self, std::function<void()>& out,
 
 void ThreadPool::run_task(std::size_t self,
                           const std::function<void()>& task) {
+    // Counted before task() runs: a TaskGroup task releases its group
+    // inside task(), and wait() must not return one task short.
+    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     const auto start = std::chrono::steady_clock::now();
     task();
     const auto ns = static_cast<std::uint64_t>(
@@ -166,7 +169,6 @@ void ThreadPool::run_task(std::size_t self,
     } else {
         helper_busy_ns_.fetch_add(ns, std::memory_order_relaxed);
     }
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool ThreadPool::try_execute_one() {

@@ -78,6 +78,16 @@ TEST(HdfFlow, PhasesAndManifestCoverTheRun) {
     EXPECT_EQ(m.circuit().find("name")->as_string(), "s27");
     ASSERT_NE(m.config().find("seed"), nullptr);
     EXPECT_NE(m.metrics().find("detection"), nullptr);
+    // The schedule is reported with its lower bound and optimality note.
+    const Json* schedule = m.metrics().find("schedule");
+    ASSERT_NE(schedule, nullptr);
+    EXPECT_LE(r.schedule_lower_bound, r.opti_pc);
+    EXPECT_EQ(schedule->find("size")->as_number(),
+              static_cast<double>(r.opti_pc));
+    EXPECT_EQ(schedule->find("lower_bound")->as_number(),
+              static_cast<double>(r.schedule_lower_bound));
+    EXPECT_EQ(schedule->find("optimality")->as_string(),
+              r.schedule_optimality());
     // The manifest document round-trips through JSON.
     const auto back = RunManifest::from_json(m.to_json());
     ASSERT_TRUE(back.has_value());
@@ -184,6 +194,15 @@ TEST(HdfFlow, DeterministicAcrossRuns) {
     EXPECT_EQ(ra.detected_prop, rb.detected_prop);
     EXPECT_EQ(ra.freq_prop, rb.freq_prop);
     EXPECT_EQ(ra.opti_pc, rb.opti_pc);
+}
+
+TEST(Report, ScheduleOptimalityNamesTheGap) {
+    HdfFlowResult r;
+    r.opti_pc = 96;
+    r.schedule_lower_bound = 90;
+    EXPECT_EQ(r.schedule_optimality(), "6 above bound");
+    r.schedule_proven_optimal = true;
+    EXPECT_EQ(r.schedule_optimality(), "optimal");
 }
 
 TEST(Report, TablesRenderWithoutCrashing) {

@@ -1,8 +1,7 @@
 #include "opt/set_cover.hpp"
 
-#include <cmath>
-
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -90,33 +89,32 @@ TEST(SetCover, PartialCoverPicksHeavyElements) {
     EXPECT_EQ(r.chosen, (std::vector<std::uint32_t>{3}));
 }
 
-TEST(SetCover, IlpFormulationAgrees) {
-    const SetCoverInstance inst = make_instance(
-        6, {{0, 1, 2, 3}, {0, 1, 4}, {2, 3, 5}, {4}, {5}});
-    const IlpProblem p = set_cover_to_ilp(inst);
-    const IlpSolution s = solve_01_ilp(p);
-    const SetCoverResult r = solve_set_cover(inst);
-    ASSERT_TRUE(s.feasible);
-    ASSERT_TRUE(r.feasible);
-    EXPECT_NEAR(s.objective, static_cast<double>(r.chosen.size()), 1e-9);
-}
-
-/// Brute-force minimal full cover.
-std::size_t brute_cover(const SetCoverInstance& inst) {
+/// Brute-force minimal (partial) cover by weight over every subset of
+/// at most 16 sets and 32 elements; SIZE_MAX when no subset reaches the
+/// target.
+std::size_t brute_optimum(const SetCoverInstance& inst, double coverage) {
     const std::size_t n = inst.sets.size();
+    const auto target = static_cast<std::uint64_t>(
+        std::ceil(coverage * static_cast<double>(inst.total_weight()) - 1e-9));
+    std::vector<std::uint32_t> set_mask(n, 0);
+    for (std::size_t s = 0; s < n; ++s) {
+        for (std::uint32_t e : inst.sets[s]) set_mask[s] |= 1u << e;
+    }
+    // covered[m] = union of the sets in subset m, built from m minus its
+    // lowest set.
+    std::vector<std::uint32_t> covered(std::size_t{1} << n, 0);
     std::size_t best = SIZE_MAX;
-    for (std::uint32_t m = 0; m < (1u << n); ++m) {
-        std::vector<bool> covered(inst.num_elements, false);
-        std::size_t count = 0;
-        for (std::size_t s = 0; s < n; ++s) {
-            if ((m >> s) & 1) {
-                ++count;
-                for (std::uint32_t e : inst.sets[s]) covered[e] = true;
-            }
+    for (std::uint32_t m = 0; m < covered.size(); ++m) {
+        if (m != 0) {
+            covered[m] = covered[m & (m - 1)] |
+                         set_mask[static_cast<std::size_t>(std::countr_zero(m))];
         }
-        if (std::all_of(covered.begin(), covered.end(),
-                        [](bool b) { return b; })) {
-            best = std::min(best, count);
+        std::uint64_t w = 0;
+        for (std::uint32_t bits = covered[m]; bits != 0; bits &= bits - 1) {
+            w += inst.weight_of(static_cast<std::uint32_t>(std::countr_zero(bits)));
+        }
+        if (w >= target) {
+            best = std::min<std::size_t>(best, std::popcount(m));
         }
     }
     return best;
@@ -143,7 +141,7 @@ TEST_P(SetCoverBruteForce, MatchesExhaustive) {
             std::sort(s.begin(), s.end());
             s.erase(std::unique(s.begin(), s.end()), s.end());
         }
-        const std::size_t bf = brute_cover(inst);
+        const std::size_t bf = brute_optimum(inst, 1.0);
         const SetCoverResult r = solve_set_cover(inst);
         ASSERT_TRUE(r.feasible);
         ASSERT_TRUE(r.proven_optimal);
@@ -160,30 +158,6 @@ TEST_P(SetCoverBruteForce, MatchesExhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SetCoverBruteForce,
                          ::testing::Range<std::uint64_t>(1, 11));
-
-/// Brute-force minimal partial cover by weight.
-std::size_t brute_partial(const SetCoverInstance& inst, double coverage) {
-    const std::size_t n = inst.sets.size();
-    const auto target = static_cast<std::uint64_t>(
-        std::ceil(coverage * static_cast<double>(inst.total_weight()) - 1e-9));
-    std::size_t best = SIZE_MAX;
-    for (std::uint32_t m = 0; m < (1u << n); ++m) {
-        std::vector<bool> covered(inst.num_elements, false);
-        std::size_t count = 0;
-        for (std::size_t s = 0; s < n; ++s) {
-            if ((m >> s) & 1) {
-                ++count;
-                for (std::uint32_t e : inst.sets[s]) covered[e] = true;
-            }
-        }
-        std::uint64_t w = 0;
-        for (std::uint32_t e = 0; e < inst.num_elements; ++e) {
-            if (covered[e]) w += inst.weight_of(e);
-        }
-        if (w >= target) best = std::min(best, count);
-    }
-    return best;
-}
 
 class PartialCoverBruteForce : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -210,7 +184,7 @@ TEST_P(PartialCoverBruteForce, MatchesExhaustive) {
         for (double coverage : {0.9, 0.75, 0.5}) {
             SetCoverOptions opt;
             opt.coverage = coverage;
-            const std::size_t bf = brute_partial(inst, coverage);
+            const std::size_t bf = brute_optimum(inst, coverage);
             const SetCoverResult r = solve_set_cover(inst, opt);
             ASSERT_TRUE(r.feasible) << coverage;
             if (r.proven_optimal) {
@@ -225,6 +199,85 @@ TEST_P(PartialCoverBruteForce, MatchesExhaustive) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PartialCoverBruteForce,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// Property: the reported lower bound is sound.  For full and partial
+// covers, lower_bound <= brute-force optimum <= chosen.size(), and a
+// proven-optimal result is the optimum.
+class CoverBoundProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CoverBoundProperty, LowerBoundBracketsOptimum) {
+    Prng rng(GetParam() * 13 + 5);
+    for (int instance = 0; instance < 3; ++instance) {
+        const std::size_t n_sets = 12 + rng.next_below(5);
+        const std::uint32_t n_elems = 20;
+        SetCoverInstance inst;
+        inst.num_elements = n_elems;
+        inst.sets.resize(n_sets);
+        inst.element_weight.resize(n_elems);
+        // Element e is in set e % n_sets plus two random ones, so a full
+        // cover always exists.
+        for (std::uint32_t e = 0; e < n_elems; ++e) {
+            inst.element_weight[e] =
+                1 + static_cast<std::uint32_t>(rng.next_below(9));
+            inst.sets[e % n_sets].push_back(e);
+            inst.sets[rng.next_below(n_sets)].push_back(e);
+            inst.sets[rng.next_below(n_sets)].push_back(e);
+        }
+        for (auto& s : inst.sets) {
+            std::sort(s.begin(), s.end());
+            s.erase(std::unique(s.begin(), s.end()), s.end());
+        }
+        for (double coverage : {1.0, 0.9, 0.75, 0.5}) {
+            SetCoverOptions opt;
+            opt.coverage = coverage;
+            const std::size_t bf = brute_optimum(inst, coverage);
+            const SetCoverResult r = solve_set_cover(inst, opt);
+            ASSERT_TRUE(r.feasible) << coverage;
+            EXPECT_LE(r.lower_bound, bf)
+                << "instance " << instance << " cov " << coverage;
+            EXPECT_LE(bf, r.chosen.size());
+            if (r.proven_optimal) {
+                EXPECT_EQ(r.chosen.size(), bf);
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CoverBoundProperty,
+                         ::testing::Range<std::uint64_t>(1, 13));
+
+TEST(SetCover, TightPackingProvesOptimumWithinBudget) {
+    // Sets are runs of consecutive elements plus two private elements
+    // each.  On this seed greedy takes 10 sets and the optimum is 9; the
+    // root packing bound is also 9, so the search stops at the first
+    // 9-set cover instead of exhausting the remaining tree (90 nodes).
+    Prng rng(158);
+    SetCoverInstance inst;
+    inst.num_elements = 60;
+    inst.sets.resize(30);
+    for (std::uint32_t s = 0; s < 30; ++s) {
+        const auto lo = static_cast<std::uint32_t>(rng.next_below(60));
+        const auto len = 2 + static_cast<std::uint32_t>(rng.next_below(10));
+        for (std::uint32_t e = lo; e < std::min(60u, lo + len); ++e) {
+            inst.sets[s].push_back(e);
+        }
+        inst.sets[s].push_back(s);
+        inst.sets[s].push_back(s + 30);
+        std::sort(inst.sets[s].begin(), inst.sets[s].end());
+        inst.sets[s].erase(
+            std::unique(inst.sets[s].begin(), inst.sets[s].end()),
+            inst.sets[s].end());
+    }
+    SetCoverOptions opt;
+    opt.max_nodes = 40;
+    const SetCoverResult r = solve_set_cover(inst, opt);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(greedy_set_cover(inst, opt).chosen.size(), 10u);
+    EXPECT_EQ(r.chosen.size(), 9u);
+    EXPECT_EQ(r.lower_bound, 9u);
+    EXPECT_TRUE(r.proven_optimal);
+    EXPECT_LT(r.nodes_explored, opt.max_nodes);
+}
 
 TEST(SetCover, BudgetFallsBackToGreedy) {
     Prng rng(17);
