@@ -60,13 +60,12 @@ struct CampaignConfig {
     /// status block).
     bool resume = false;
     /// Live lanes per batched STA pass (a settled lane takes the
-    /// shard's next device at once).  0 = the compiled column
-    /// width (the FASTMON_BATCH_WIDTH CMake option, default 8).  1 =
-    /// the scalar StaEngine per device (the reference path for the
-    /// batched differential); larger values clamp to the compiled
-    /// width.  Deliberately NOT part of the campaign fingerprint:
-    /// every width produces bit-identical outcomes, so checkpoints are
-    /// interchangeable across widths.
+    /// shard's next device at once).  0 = the engine's column width
+    /// (kBatchWidth, 8).  1 = the scalar StaEngine per device (the
+    /// reference path for the batched differential); larger values
+    /// clamp to kBatchWidth.  Deliberately NOT part of the campaign
+    /// fingerprint: every width produces bit-identical outcomes, so
+    /// checkpoints are interchangeable across widths.
     std::size_t batch_width = 0;
     /// Live-telemetry heartbeat sidecar (see util/progress.hpp): when
     /// non-empty, a sampler thread atomically rewrites this JSON file

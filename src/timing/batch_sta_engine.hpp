@@ -56,20 +56,12 @@
 #include "timing/delay_delta.hpp"
 #include "timing/delay_model.hpp"
 
-// Column width (devices per topological pass).  A CMake cache knob
-// (-DFASTMON_BATCH_WIDTH=N) overrides it tree-wide; 1 compiles the
-// batch engine down to scalar code (the no-SIMD fallback CI keeps
-// green).  Runtime batch sizes smaller than the compiled width simply
-// leave the trailing lanes retired.
-#ifndef FASTMON_BATCH_WIDTH
-#define FASTMON_BATCH_WIDTH 8
-#endif
-
 namespace fastmon {
 
-inline constexpr std::size_t kBatchWidth = FASTMON_BATCH_WIDTH;
-static_assert(kBatchWidth >= 1 && kBatchWidth <= 64,
-              "FASTMON_BATCH_WIDTH must be in [1, 64]");
+// Column width (devices per topological pass).  Runtime batch sizes
+// smaller than this simply leave the trailing lanes retired; width 1
+// at runtime selects the scalar StaEngine reference path instead.
+inline constexpr std::size_t kBatchWidth = 8;
 
 /// Per-lane deltas of one batched update.  A null slot means "no
 /// change requested" and is only legal for retired lanes; every active

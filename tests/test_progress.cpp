@@ -195,49 +195,56 @@ TEST(ProgressReporter, CampaignHeartbeatAgreesWithTheReport) {
     const FileGuard guard{"test_progress_campaign.heartbeat.json"};
     const Netlist netlist = make_mini_alu();
 
-    CampaignConfig config;
-    config.population = 60;
-    config.num_threads = 2;
+    // The scalar reference engine (width 1) and the batched engine
+    // (0 = kBatchWidth) instrument different code paths; telemetry must
+    // be pure observation on both.
+    for (const std::size_t width : {std::size_t{1}, std::size_t{0}}) {
+        SCOPED_TRACE("batch_width " + std::to_string(width));
+        CampaignConfig config;
+        config.population = 60;
+        config.num_threads = 2;
+        config.batch_width = width;
 
-    // Baseline without telemetry, then the identical campaign with the
-    // sidecar on a deliberately tiny interval.
-    const CampaignResult baseline = run_campaign(netlist, config);
-    config.heartbeat_path = guard.path;
-    config.heartbeat_seconds = 0.001;
-    const CampaignResult observed = run_campaign(netlist, config);
+        // Baseline without telemetry, then the identical campaign with
+        // the sidecar on a deliberately tiny interval.
+        const CampaignResult baseline = run_campaign(netlist, config);
+        config.heartbeat_path = guard.path;
+        config.heartbeat_seconds = 0.001;
+        const CampaignResult observed = run_campaign(netlist, config);
+        EXPECT_EQ(observed.batch_width, width == 0 ? kBatchWidth : width);
 
-    // Telemetry is pure observation: deterministic blocks identical
-    // (the heartbeat knobs never enter the campaign block).
-    const Json a = baseline.to_json(config);
-    for (const char* block : {"campaign", "aggregate"}) {
+        // Telemetry is pure observation: deterministic blocks identical
+        // (the heartbeat knobs never enter the campaign block).
+        const Json a = baseline.to_json(config);
         const Json b = observed.to_json(config);
-        ASSERT_NE(a.find(block), nullptr);
-        ASSERT_NE(b.find(block), nullptr);
-        EXPECT_TRUE(*a.find(block) == *b.find(block)) << block;
+        for (const char* block : {"campaign", "aggregate"}) {
+            ASSERT_NE(a.find(block), nullptr);
+            ASSERT_NE(b.find(block), nullptr);
+            EXPECT_TRUE(*a.find(block) == *b.find(block)) << block;
+        }
+
+        // Final sidecar agrees with the exported report.
+        const std::optional<Json> hb = read_json_file(guard.path);
+        ASSERT_TRUE(hb.has_value());
+        EXPECT_EQ(str(*hb, "state"), "finished");
+        EXPECT_EQ(num(*hb, "devices_done"),
+                  static_cast<double>(observed.devices_completed));
+        EXPECT_EQ(num(*hb, "devices_total"),
+                  static_cast<double>(config.population));
+
+        // The sketch telemetry rides in the run block with count
+        // coverage of the whole population.
+        const Json* run = b.find("run");
+        ASSERT_NE(run, nullptr);
+        const Json* sketches = run->find("telemetry");
+        ASSERT_NE(sketches, nullptr);
+        const Json* latency = sketches->find("roll_latency_us");
+        ASSERT_NE(latency, nullptr);
+        const Json* lat_summary = latency->find("summary");
+        ASSERT_NE(lat_summary, nullptr);
+        EXPECT_EQ(lat_summary->find("count")->as_number(),
+                  static_cast<double>(config.population));
     }
-
-    // Final sidecar agrees with the exported report.
-    const std::optional<Json> hb = read_json_file(guard.path);
-    ASSERT_TRUE(hb.has_value());
-    EXPECT_EQ(str(*hb, "state"), "finished");
-    EXPECT_EQ(num(*hb, "devices_done"),
-              static_cast<double>(observed.devices_completed));
-    EXPECT_EQ(num(*hb, "devices_total"),
-              static_cast<double>(config.population));
-
-    // The sketch telemetry rides in the run block with count coverage
-    // of the whole population.
-    const Json report = observed.to_json(config);
-    const Json* run = report.find("run");
-    ASSERT_NE(run, nullptr);
-    const Json* sketches = run->find("telemetry");
-    ASSERT_NE(sketches, nullptr);
-    const Json* latency = sketches->find("roll_latency_us");
-    ASSERT_NE(latency, nullptr);
-    const Json* lat_summary = latency->find("summary");
-    ASSERT_NE(lat_summary, nullptr);
-    EXPECT_EQ(lat_summary->find("count")->as_number(),
-              static_cast<double>(config.population));
 }
 
 TEST(ProgressReporter, CancelledCampaignReportsAnHonestState) {

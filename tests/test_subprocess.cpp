@@ -1,7 +1,7 @@
-// POSIX process / lock plumbing under the fleet supervisor: spawn,
+// POSIX process plumbing under the fleet supervisor: spawn,
 // shell-style exit encoding (code, 128+signal, 127 exec failure),
 // non-blocking polls, kill-and-reap, per-child environment and output
-// redirection, and flock-based exclusive file locks.
+// redirection.
 #include "util/subprocess.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <thread>
-
-#include "util/file_lock.hpp"
 
 namespace fastmon {
 namespace {
@@ -103,38 +101,6 @@ TEST_F(SubprocessTest, DestructorReapsARunningChild) {
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     EXPECT_NE(::kill(pid, 0), 0);
-}
-
-TEST_F(SubprocessTest, FileLockIsExclusiveWhileHeld) {
-    const std::string lock_path = path("ledger.lock");
-    std::string error;
-    auto lock = FileLock::exclusive(lock_path, &error);
-    ASSERT_TRUE(lock.has_value()) << error;
-
-    // A second open file description cannot take it...
-    auto contender = FileLock::try_exclusive(lock_path, &error);
-    EXPECT_FALSE(contender.has_value());
-    EXPECT_NE(error.find("held"), std::string::npos) << error;
-
-    // ...until the holder releases.
-    lock.reset();
-    EXPECT_TRUE(FileLock::try_exclusive(lock_path).has_value());
-}
-
-TEST_F(SubprocessTest, FileLockSerializesAgainstAnotherProcess) {
-    const std::string lock_path = path("cross.lock");
-    auto lock = FileLock::exclusive(lock_path);
-    ASSERT_TRUE(lock.has_value());
-    // A child using flock -n on the same file must lose.
-    auto child = Subprocess::spawn(
-        sh("exec 9>" + lock_path + " && flock -n 9 && exit 0; exit 33"));
-    ASSERT_TRUE(child.has_value());
-    EXPECT_EQ(child->exit_code(), 33);
-    lock.reset();
-    auto after = Subprocess::spawn(
-        sh("exec 9>" + lock_path + " && flock -n 9 && exit 0; exit 33"));
-    ASSERT_TRUE(after.has_value());
-    EXPECT_EQ(after->exit_code(), 0);
 }
 
 }  // namespace

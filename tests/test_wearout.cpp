@@ -657,6 +657,29 @@ TEST(WearoutCli, ListProfilesPrintsTheCatalogAndExitsClean) {
         options);
     ASSERT_TRUE(bad.has_value());
     EXPECT_EQ(bad->exit_code(), 2);
+    // Malformed integer flags are rejected while parsing, before any
+    // pool or population is sized, with a diagnostic naming the flag.
+    const std::vector<std::pair<std::string, std::string>> bad_counts = {
+        {"--threads", "-1"},
+        {"--population", "12x"},
+        {"--population", "99999999999999999999"},
+    };
+    for (std::size_t i = 0; i < bad_counts.size(); ++i) {
+        const auto& [flag, value] = bad_counts[i];
+        SpawnOptions rejected_options;
+        rejected_options.output_path =
+            (dir / ("count_" + std::to_string(i) + ".txt")).string();
+        auto rejected = Subprocess::spawn(
+            {FASTMON_CAMPAIGN_BIN, "--circuit", "demo_pipeline.bench",
+             flag, value, "--quiet"},
+            rejected_options);
+        ASSERT_TRUE(rejected.has_value());
+        EXPECT_EQ(rejected->exit_code(), 2) << flag << " " << value;
+        std::ifstream err(rejected_options.output_path);
+        const std::string text{std::istreambuf_iterator<char>(err),
+                               std::istreambuf_iterator<char>()};
+        EXPECT_NE(text.find(flag), std::string::npos) << text;
+    }
     std::filesystem::remove_all(dir);
 }
 

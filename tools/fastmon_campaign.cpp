@@ -18,6 +18,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "campaign/campaign.hpp"
 #include "campaign/shard.hpp"
@@ -26,6 +27,7 @@
 #include "netlist/iscas_data.hpp"
 #include "util/atomic_file.hpp"
 #include "util/cancel.hpp"
+#include "util/cli_parse.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
 
@@ -113,16 +115,16 @@ struct CliOptions {
 };
 
 /// Parses "--shard i/n" ("2/4"); false on anything else.
-bool parse_shard_spec(const char* text, fastmon::CampaignConfig& config) {
-    const char* slash = std::strchr(text, '/');
-    if (!slash || slash == text || *(slash + 1) == '\0') return false;
-    char* end = nullptr;
-    const long long index = std::strtoll(text, &end, 10);
-    if (end != slash || index < 0) return false;
-    const long long count = std::strtoll(slash + 1, &end, 10);
-    if (*end != '\0' || count <= 0 || index >= count) return false;
-    config.shard_index = static_cast<std::size_t>(index);
-    config.shard_count = static_cast<std::size_t>(count);
+bool parse_shard_spec(std::string_view spec,
+                      fastmon::CampaignConfig& config) {
+    const std::size_t slash = spec.find('/');
+    if (slash == std::string_view::npos) return false;
+    using fastmon::parse_count;
+    const auto index = parse_count<std::size_t>(spec.substr(0, slash));
+    const auto count = parse_count<std::size_t>(spec.substr(slash + 1));
+    if (!index || !count || *index >= *count) return false;
+    config.shard_index = *index;
+    config.shard_count = *count;
     return true;
 }
 
@@ -158,14 +160,16 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             }
             opt.config.wearout.enabled = true;
         } else if (strcmp(arg, "--activity-patterns") == 0) {
-            if (!(v = need_value(i))) return false;
-            const long long n = std::atoll(v);
-            if (n <= 0) {
+            std::size_t n = 0;
+            if (!(v = need_value(i)) ||
+                !fastmon::parse_count_flag(arg, v, n)) {
+                return false;
+            }
+            if (n == 0) {
                 opt.config.wearout.activity.mode =
                     fastmon::ActivityConfig::Mode::Constant;
             } else {
-                opt.config.wearout.activity.num_pattern_pairs =
-                    static_cast<std::size_t>(n);
+                opt.config.wearout.activity.num_pattern_pairs = n;
             }
         } else if (strcmp(arg, "--resume") == 0) {
             opt.config.resume = true;
@@ -186,11 +190,15 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             if (!(v = need_value(i))) return false;
             opt.scale = std::atof(v);
         } else if (strcmp(arg, "--population") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.population = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !fastmon::parse_count_flag(arg, v, opt.config.population)) {
+                return false;
+            }
         } else if (strcmp(arg, "--seed") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.seed = static_cast<std::uint64_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !fastmon::parse_count_flag(arg, v, opt.config.seed)) {
+                return false;
+            }
         } else if (strcmp(arg, "--defect-rate") == 0) {
             if (!(v = need_value(i))) return false;
             opt.config.model.defect.incidence = std::atof(v);
@@ -213,18 +221,24 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             if (!(v = need_value(i))) return false;
             opt.config.clock_margin = std::atof(v);
         } else if (strcmp(arg, "--batch-width") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.batch_width = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !fastmon::parse_count_flag(arg, v, opt.config.batch_width)) {
+                return false;
+            }
         } else if (strcmp(arg, "--threads") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.num_threads = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !fastmon::parse_count_flag(arg, v, opt.config.num_threads)) {
+                return false;
+            }
         } else if (strcmp(arg, "--checkpoint") == 0) {
             if (!(v = need_value(i))) return false;
             opt.config.checkpoint_path = v;
         } else if (strcmp(arg, "--checkpoint-every") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.checkpoint_every =
-                static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value(i)) ||
+                !fastmon::parse_count_flag(arg, v,
+                                           opt.config.checkpoint_every)) {
+                return false;
+            }
         } else if (strcmp(arg, "--shard") == 0) {
             if (!(v = need_value(i))) return false;
             if (!parse_shard_spec(v, opt.config)) {

@@ -29,6 +29,7 @@
 #include "campaign/fleet.hpp"
 #include "campaign/shard.hpp"
 #include "util/atomic_file.hpp"
+#include "util/cli_parse.hpp"
 
 namespace {
 
@@ -105,9 +106,10 @@ int main(int argc, char** argv) {
             if (!(v = need_value())) return 2;
             config.root = v;
         } else if (std::strcmp(arg, "--shards") == 0) {
-            if (!(v = need_value())) return 2;
-            config.shard_count =
-                static_cast<std::uint32_t>(std::atoll(v));
+            if (!(v = need_value()) ||
+                !parse_count_flag(arg, v, config.shard_count)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--campaign-bin") == 0) {
             if (!(v = need_value())) return 2;
             campaign_bin = v;
@@ -115,12 +117,15 @@ int main(int argc, char** argv) {
             if (!(v = need_value())) return 2;
             out_path = v;
         } else if (std::strcmp(arg, "--max-attempts") == 0) {
-            if (!(v = need_value())) return 2;
-            config.max_attempts =
-                static_cast<std::uint32_t>(std::atoll(v));
+            if (!(v = need_value()) ||
+                !parse_count_flag(arg, v, config.max_attempts)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--max-parallel") == 0) {
-            if (!(v = need_value())) return 2;
-            config.max_parallel = static_cast<std::size_t>(std::atoll(v));
+            if (!(v = need_value()) ||
+                !parse_count_flag(arg, v, config.max_parallel)) {
+                return 2;
+            }
         } else if (std::strcmp(arg, "--stall-timeout") == 0) {
             if (!(v = need_value())) return 2;
             config.stall_timeout_seconds = std::atof(v);
@@ -131,8 +136,10 @@ int main(int argc, char** argv) {
             if (!(v = need_value())) return 2;
             inject_spec = v;
         } else if (std::strcmp(arg, "--inject-shard") == 0) {
-            if (!(v = need_value())) return 2;
-            inject_shard = static_cast<std::uint32_t>(std::atoll(v));
+            if (!(v = need_value()) ||
+                !parse_count_flag(arg, v, inject_shard)) {
+                return 2;
+            }
         } else {
             std::cerr << "error: unknown option " << arg
                       << " (--help for usage)\n";

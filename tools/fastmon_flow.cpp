@@ -23,6 +23,7 @@
 #include "flow/hdf_flow.hpp"
 #include "flow/report.hpp"
 #include "netlist/netlist_io.hpp"
+#include "util/cli_parse.hpp"
 #include "util/diagnostic.hpp"
 #include "util/log.hpp"
 
@@ -91,16 +92,22 @@ int main(int argc, char** argv) {
             }
             config.atpg.engine = *kind;
         } else if (std::strcmp(arg, "--podem-backtracks") == 0) {
-            config.atpg.podem_backtrack_limit =
-                static_cast<std::size_t>(std::atoll(value()));
+            if (!parse_count_flag(arg, value(),
+                                  config.atpg.podem_backtrack_limit)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--sat-budget") == 0) {
-            config.atpg.sat_conflict_budget =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            if (!parse_count_flag(arg, value(),
+                                  config.atpg.sat_conflict_budget)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--sat-restart") == 0) {
-            config.atpg.sat_restart_period =
-                static_cast<std::size_t>(std::atoll(value()));
+            if (!parse_count_flag(arg, value(),
+                                  config.atpg.sat_restart_period)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--seed") == 0) {
-            config.seed = static_cast<std::uint64_t>(std::atoll(value()));
+            if (!parse_count_flag(arg, value(), config.seed)) return 1;
         } else if (std::strcmp(arg, "--fmax") == 0) {
             config.fmax_factor = std::atof(value());
         } else if (std::strcmp(arg, "--monitor-fraction") == 0) {
@@ -108,8 +115,10 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(arg, "--variation") == 0) {
             config.variation_sigma = std::atof(value());
         } else if (std::strcmp(arg, "--max-faults") == 0) {
-            config.max_simulated_faults =
-                static_cast<std::size_t>(std::atoll(value()));
+            if (!parse_count_flag(arg, value(),
+                                  config.max_simulated_faults)) {
+                return 1;
+            }
         } else if (std::strcmp(arg, "--manifest") == 0) {
             manifest_path = value();
         } else if (std::strcmp(arg, "--strict") == 0) {
