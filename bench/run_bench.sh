@@ -16,8 +16,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build-bench}"
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" -j"$(nproc)" \
-    --target bench_micro bench_fig3
+cmake --build "$build_dir" -j"$(nproc)" --target bench_micro
 
 cd "$repo_root"
 

@@ -103,6 +103,8 @@ bool inverting(CellType type) {
     }
 }
 
+bool not_dff(CellType type) { return type != CellType::Dff; }
+
 /// Non-controlling input value used to sensitize a gate (heuristic).
 bool noncontrolling(CellType type) {
     switch (type) {
@@ -124,52 +126,44 @@ struct Objective {
 
 }  // namespace
 
-/// Cache of per-source fanout cones, shared across PODEM runs on the
-/// same netlist (cone extraction is the dominant setup cost otherwise).
-using PodemConeCache = std::vector<std::vector<GateId>>;
-
 struct PodemEngine {
     const Netlist& nl;
     const FaultSite site;
     const bool stuck_value;
     const bool propagate;  ///< false for pure justification
     const std::size_t backtrack_limit;
-    PodemConeCache& cones;
+    RankWorklist& work;
 
     std::vector<V5> values;
     std::vector<Bit> source_vals;      // only meaningful where source_set
     std::vector<bool> source_set;
+    /// Combinational fanout cone of the site gate (itself included), in
+    /// topological-rank order; built only when propagating.
     std::vector<GateId> site_cone;
+    /// x_path_map() result, valid over site_cone.
+    std::vector<std::int8_t> x_path;
     std::size_t backtracks = 0;
 
     PodemEngine(const Netlist& netlist, const FaultSite& s, bool sv,
-                bool prop, std::size_t limit, PodemConeCache& cone_cache)
+                bool prop, std::size_t limit, RankWorklist& worklist)
         : nl(netlist),
           site(s),
           stuck_value(sv),
           propagate(prop),
           backtrack_limit(limit),
-          cones(cone_cache),
+          work(worklist),
           values(netlist.size()),
           source_vals(netlist.comb_sources().size(), 0),
-          source_set(netlist.comb_sources().size(), false),
-          site_cone(netlist.fanout_cone(s.gate)) {}
-
-    const std::vector<GateId>& source_cone(std::uint32_t src) {
-        if (cones.size() != nl.comb_sources().size()) {
-            cones.assign(nl.comb_sources().size(), {});
+          source_set(netlist.comb_sources().size(), false) {
+        if (!propagate) return;
+        work.begin(nl);
+        work.push(site.gate);
+        while (!work.empty()) {
+            const GateId id = work.pop();
+            if (is_combinational(nl.gate(id).type)) site_cone.push_back(id);
+            work.push_fanouts(id, is_combinational);
         }
-        std::vector<GateId>& cone = cones[src];
-        if (cone.empty()) {
-            cone = nl.fanout_cone(nl.comb_sources()[src]);
-        }
-        return cone;
-    }
-
-    /// Signal whose good value must become !stuck_value to activate.
-    [[nodiscard]] GateId faulted_line_driver() const {
-        if (site.pin == FaultSite::kOutputPin) return site.gate;
-        return nl.gate(site.gate).fanin[site.pin];
+        x_path.resize(nl.size());
     }
 
     /// Recomputes the value of one non-source node from its fanins,
@@ -212,29 +206,35 @@ struct PodemEngine {
         return V5{v, v};
     }
 
-    /// Full forward implication (used once at start).
-    void imply() {
-        for (GateId id : nl.topo_order()) {
-            const std::uint32_t src = nl.source_index(id);
-            if (src != std::numeric_limits<std::uint32_t>::max()) {
-                values[id] = source_value(src);
-                continue;
-            }
+    /// Event-driven implication: re-evaluates queued gates in rank
+    /// order, queuing the non-Dff fanouts of each one that changed.
+    void imply_queued() {
+        while (!work.empty()) {
+            const GateId id = work.pop();
+            const V5 before = values[id];
             eval_node(id);
+            if (values[id] != before) work.push_fanouts(id, not_dff);
         }
     }
 
-    /// Incremental implication after (un)assigning one source: only the
-    /// source's fanout cone can change.
-    void imply_from(std::uint32_t src) {
-        values[nl.comb_sources()[src]] = source_value(src);
-        for (GateId id : source_cone(src)) {
-            if (nl.source_index(id) !=
-                std::numeric_limits<std::uint32_t>::max()) {
-                continue;  // the source itself / register sinks
-            }
-            eval_node(id);
+    /// Initial implication: with every source X, only the fault
+    /// injected at a non-source site gate can move a value off X.
+    void imply() {
+        work.begin(nl);
+        if (propagate && nl.source_index(site.gate) ==
+                             std::numeric_limits<std::uint32_t>::max()) {
+            work.push(site.gate);
         }
+        imply_queued();
+    }
+
+    /// Implication after (un)assigning one source.
+    void imply_from(std::uint32_t src) {
+        const GateId source = nl.comb_sources()[src];
+        values[source] = source_value(src);
+        work.begin(nl);
+        work.push_fanouts(source, not_dff);
+        imply_queued();
     }
 
     [[nodiscard]] bool effect_at_output() const {
@@ -247,46 +247,38 @@ struct PodemEngine {
     /// True once the fault is activated (good side of the faulted line
     /// at the non-stuck value).
     [[nodiscard]] std::uint8_t line_good_value() const {
-        if (site.pin == FaultSite::kOutputPin) {
-            return values[site.gate].good;
-        }
-        return values[faulted_line_driver()].good;
+        return values[fault_site_signal(nl, site)].good;
     }
 
-    /// X-path check: for every node in the site cone, can a change still
-    /// reach an observation point through X-valued (or D-carrying)
-    /// signals?  Computed in one reverse sweep over the cone.
-    [[nodiscard]] std::vector<std::int8_t> x_path_map() const {
-        std::vector<std::int8_t> reach(nl.size(), 0);
+    /// X-path check into x_path: for every gate in the site cone, can a
+    /// change still reach an observation point through X-valued (or
+    /// D-carrying) signals?  One reverse sweep rewrites the cone.
+    void x_path_map() {
         for (auto it = site_cone.rbegin(); it != site_cone.rend(); ++it) {
             const GateId id = *it;
-            const Gate& g = nl.gate(id);
-            if (g.type == CellType::Output || g.type == CellType::Dff) {
-                reach[id] = 1;  // observation point (D pin / pad)
-                continue;
-            }
-            for (GateId out : g.fanout) {
+            std::int8_t reach = 0;
+            for (GateId out : nl.gate(id).fanout) {
                 const Gate& og = nl.gate(out);
                 if (og.type == CellType::Output || og.type == CellType::Dff) {
-                    reach[id] = 1;
+                    reach = 1;  // observation point (D pin / pad)
                     break;
                 }
                 const V5& ov = values[out];
                 const bool open = ov.good == TX || ov.faulty == TX;
-                if (open && reach[out] != 0) {
-                    reach[id] = 1;
+                if (open && x_path[out] != 0) {
+                    reach = 1;
                     break;
                 }
             }
+            x_path[id] = reach;
         }
-        return reach;
     }
 
-    [[nodiscard]] std::optional<Objective> next_objective() const {
+    [[nodiscard]] std::optional<Objective> next_objective() {
         const std::uint8_t lv = line_good_value();
         const std::uint8_t want = stuck_value ? T0 : T1;
         if (lv == TX) {
-            return Objective{faulted_line_driver(), want == T1};
+            return Objective{fault_site_signal(nl, site), want == T1};
         }
         if (lv != want) return std::nullopt;  // activation conflict
         if (!propagate) return std::nullopt;  // justification done/failed
@@ -294,11 +286,10 @@ struct PodemEngine {
         // shallowest one that still has an X-path to an observation
         // point.  The frontier can only live in the fanout cone of the
         // fault site.
-        const std::vector<std::int8_t> x_path = x_path_map();
+        x_path_map();
         GateId best = kNoGate;
         for (GateId id : site_cone) {
             const Gate& g = nl.gate(id);
-            if (!is_combinational(g.type)) continue;
             const V5& out = values[id];
             if (out.good != TX && out.faulty != TX) continue;
             bool has_d = false;
@@ -499,7 +490,7 @@ PodemResult finish(const PodemEngine& engine, PodemStatus status) {
 PodemResult Podem::generate_test(const FaultSite& site,
                                  bool stuck_value) const {
     PodemEngine engine(*netlist_, site, stuck_value, true, backtrack_limit_,
-                       cone_cache_);
+                       worklist_);
     const PodemStatus status = engine.run();
     return finish(engine, status);
 }
@@ -508,7 +499,7 @@ PodemResult Podem::justify(const FaultSite& site, bool value) const {
     // Justification of "line = value" is PODEM for stuck-at !value with
     // the propagation requirement dropped.
     PodemEngine engine(*netlist_, site, !value, false, backtrack_limit_,
-                       cone_cache_);
+                       worklist_);
     const PodemStatus status = engine.run();
     return finish(engine, status);
 }

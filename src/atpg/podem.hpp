@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "netlist/rank_worklist.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/logic_sim.hpp"
 
@@ -32,8 +33,8 @@ struct PodemResult {
     std::size_t backtracks = 0;
 };
 
-/// Not thread-safe: a Podem instance caches per-source fanout cones
-/// across calls (use one instance per thread).
+/// Not thread-safe: a Podem instance reuses one event worklist across
+/// calls (use one instance per thread).
 class Podem {
 public:
     explicit Podem(const Netlist& netlist, std::size_t backtrack_limit = 250);
@@ -51,8 +52,7 @@ public:
 private:
     const Netlist* netlist_;
     std::size_t backtrack_limit_;
-    /// Per-source fanout cones, filled lazily (index: source position).
-    mutable std::vector<std::vector<GateId>> cone_cache_;
+    mutable RankWorklist worklist_;
 };
 
 }  // namespace fastmon

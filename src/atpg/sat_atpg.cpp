@@ -1,5 +1,6 @@
 #include "atpg/sat_atpg.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "util/metrics.hpp"
@@ -177,59 +178,57 @@ SatAtpg::SiteCone& SatAtpg::site_cone(const FaultSite& site) {
     }
 
     const Netlist& nl = *netlist_;
-    const Gate& fg = nl.gate(site.gate);
     Solver& s = *solver_;
 
-    // Faulty value of the site gate's output.  The stale value is the
-    // frame-1 value of the site *signal* (the gate output for output
-    // faults, the driving fanin for pin faults), so one cone serves
-    // both slow-to-rise and slow-to-fall queries.
-    std::unordered_map<GateId, Lit> fval;
-    if (site.pin == FaultSite::kOutputPin) {
-        fval.emplace(site.gate, sat::mk_lit(g1_[site.gate]));
-    } else {
-        const GateId sig = fg.fanin[site.pin];
-        std::vector<Lit> in;
-        in.reserve(fg.fanin.size());
-        for (std::uint32_t p = 0;
-             p < static_cast<std::uint32_t>(fg.fanin.size()); ++p) {
-            in.push_back(p == site.pin ? sat::mk_lit(g1_[sig])
-                                       : sat::mk_lit(g2_[fg.fanin[p]]));
-        }
-        const Lit fo = sat::mk_lit(s.new_var());
-        encode_cell(s, fg.type, fo, std::span<const Lit>(in.data(), in.size()));
-        fval.emplace(site.gate, fo);
-    }
-
-    // Faulty copies through the fanout cone (registers and pads
-    // terminate propagation).  All clauses are definitions of fresh
-    // variables — no selector guard needed; they cannot constrain other
-    // faults' queries.
-    for (GateId id : nl.fanout_cone(site.gate)) {
-        if (id == site.gate) continue;
+    // Faulty copy of the site's combinational fanout cone in rank order;
+    // fval_[g] is valid where the walk marked g changed.  The stale value
+    // is the frame-1 value of the site *signal*, so one cone serves both
+    // fault directions.  All clauses define fresh variables — no
+    // selector guard needed; they cannot constrain other queries.
+    work_.begin(nl);
+    fval_.resize(nl.size());
+    std::vector<std::uint32_t> observed;  // observe indices reached
+    auto settle = [&](GateId id) {
+        work_.mark_changed(id);
+        const auto obs = nl.observe_indices(id);
+        observed.insert(observed.end(), obs.begin(), obs.end());
+        work_.push_fanouts(id, is_combinational);
+    };
+    std::vector<Lit> in;
+    auto encode_faulty = [&](GateId id) {
         const Gate& g = nl.gate(id);
-        if (!is_combinational(g.type)) continue;
-        std::vector<Lit> in;
-        in.reserve(g.fanin.size());
-        for (GateId f : g.fanin) {
-            auto it = fval.find(f);
-            in.push_back(it != fval.end() ? it->second : sat::mk_lit(g2_[f]));
+        in.clear();
+        for (std::uint32_t p = 0; p < g.fanin.size(); ++p) {
+            const GateId f = g.fanin[p];
+            const bool stale = id == site.gate && p == site.pin;
+            in.push_back(stale              ? sat::mk_lit(g1_[f])
+                         : work_.changed(f) ? fval_[f]
+                                            : sat::mk_lit(g2_[f]));
         }
-        const Lit fo = sat::mk_lit(s.new_var());
-        encode_cell(s, g.type, fo, std::span<const Lit>(in.data(), in.size()));
-        fval.emplace(id, fo);
+        fval_[id] = sat::mk_lit(s.new_var());
+        encode_cell(s, g.type, fval_[id],
+                    std::span<const Lit>(in.data(), in.size()));
+        settle(id);
+    };
+    if (site.pin == FaultSite::kOutputPin) {
+        fval_[site.gate] = sat::mk_lit(g1_[site.gate]);
+        settle(site.gate);
+    } else {
+        encode_faulty(site.gate);
     }
+    while (!work_.empty()) encode_faulty(work_.pop());
 
-    // Difference indicators at every observe point the cone reaches,
-    // plus the selector-guarded propagation demand.
+    // Difference indicators at every observe point the cone reaches, in
+    // observe-index order, plus the selector-guarded propagation demand.
+    std::sort(observed.begin(), observed.end());
     SiteCone cone;
     cone.sel = sat::mk_lit(s.new_var());
     std::vector<Lit> prop{~cone.sel};
-    for (const ObservePoint& op : nl.observe_points()) {
-        auto it = fval.find(op.signal);
-        if (it == fval.end()) continue;
+    const auto ops = nl.observe_points();
+    for (std::uint32_t oi : observed) {
+        const GateId sig = ops[oi].signal;
         const Lit d = sat::mk_lit(s.new_var());
-        enc_xor2(s, d, it->second, sat::mk_lit(g2_[op.signal]));
+        enc_xor2(s, d, fval_[sig], sat::mk_lit(g2_[sig]));
         prop.push_back(d);
     }
     cone.feasible = prop.size() > 1;
@@ -246,10 +245,7 @@ AtpgFaultResult SatAtpg::generate(const TdfFault& fault, Prng& rng) {
     ++stats_.targets;
 
     const SiteCone cone = site_cone(fault.site);  // may rebuild the solver
-    const Gate& fg = netlist_->gate(fault.site.gate);
-    const GateId sig = fault.site.pin == FaultSite::kOutputPin
-                           ? fault.site.gate
-                           : fg.fanin[fault.site.pin];
+    const GateId sig = fault_site_signal(*netlist_, fault.site);
     if (!cone.feasible) {
         // The site reaches no observe point: structurally redundant.
         result.verdict = AtpgVerdict::Untestable;

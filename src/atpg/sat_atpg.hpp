@@ -7,11 +7,13 @@
 // (sim/pattern.hpp) — the frames are not connected through the
 // flip-flops.
 //
-// Per fault *site* a faulty copy of the site's fanout cone is encoded
-// lazily and kept: the copy reads the stale frame-1 value at the site
-// and frame-2 values everywhere else, XOR "difference" variables are
-// placed at the observe points the cone reaches, and a single
-// selector-guarded clause (~sel | d1 | ... | dk) demands propagation.
+// Per fault *site* a faulty copy of the site's combinational fanout
+// cone is encoded lazily and kept: the copy reads the stale frame-1
+// value at the site and frame-2 values everywhere else, a RankWorklist
+// walk creates its gates in topological-rank order, XOR "difference"
+// variables are placed at the observe points the cone reaches (in
+// observe-index order), and a single selector-guarded clause
+// (~sel | d1 | ... | dk) demands propagation.
 // All cone clauses are pure definitions of fresh variables, so they
 // never constrain other queries; only the selector literal activates a
 // cone.  One cone serves both fault directions.
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "atpg/engine.hpp"
+#include "netlist/rank_worklist.hpp"
 #include "sat/solver.hpp"
 
 namespace fastmon {
@@ -75,8 +78,12 @@ private:
     std::unique_ptr<sat::Solver> solver_;
     std::vector<sat::Var> g1_;  ///< frame-1 variable per netlist node
     std::vector<sat::Var> g2_;  ///< frame-2 variable per netlist node
-    /// Encoded fault cones, keyed by site gate * (max pins) + pin.
+    /// Encoded fault cones, keyed by (site gate << 32) | pin.
     std::unordered_map<std::uint64_t, SiteCone> cones_;
+    /// site_cone() scratch: the frontier walk and the faulty-copy
+    /// literal of each gate it encoded.
+    RankWorklist work_;
+    std::vector<sat::Lit> fval_;
     std::size_t sites_since_rebuild_ = 0;
     SatAtpgStats stats_;
 };

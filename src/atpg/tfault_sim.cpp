@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <functional>
 
 namespace fastmon {
 
@@ -27,14 +26,8 @@ std::vector<TdfFault> enumerate_tdf_faults(const Netlist& netlist) {
 TransitionFaultSim::TransitionFaultSim(const Netlist& netlist)
     : netlist_(&netlist),
       logic_(netlist),
-      observed_(netlist.size(), 0),
-      overlay_(netlist.size(), 0),
-      overlay_stamp_(netlist.size(), 0),
-      queued_stamp_(netlist.size(), 0) {
-    for (const ObservePoint& op : netlist.observe_points()) {
-        observed_[op.signal] = 1;
-    }
-    heap_.reserve(netlist.size());
+      overlay_(netlist.size(), 0) {
+    work_.begin(netlist);  // sizes the worklist up front
 }
 
 TransitionFaultSim::Batch TransitionFaultSim::pack(
@@ -70,9 +63,9 @@ std::uint64_t TransitionFaultSim::eval_faulty(GateId id,
     for (std::uint32_t p = 0; p < static_cast<std::uint32_t>(g.fanin.size());
          ++p) {
         const GateId f = g.fanin[p];
-        ins[p] = p == faulty_pin              ? faulty_word
-                 : overlay_stamp_[f] == epoch_ ? overlay_[f]
-                                               : values.val2[f];
+        ins[p] = p == faulty_pin    ? faulty_word
+                 : work_.changed(f) ? overlay_[f]
+                                    : values.val2[f];
     }
     ++gates_evaluated_;
     if (g.type == CellType::Output) return ins[0];
@@ -86,19 +79,13 @@ std::uint64_t TransitionFaultSim::detect_mask(const TdfFault& fault,
     const GateId site = fault.site.gate;
 
     // Signal at the fault site under both vectors.
-    const GateId site_signal = fault.site.pin == FaultSite::kOutputPin
-                                   ? site
-                                   : nl.gate(site).fanin[fault.site.pin];
+    const GateId site_signal = fault_site_signal(nl, fault.site);
     const std::uint64_t s1 = values.val1[site_signal];
     const std::uint64_t s2 = values.val2[site_signal];
     const std::uint64_t act = fault.slow_rising ? (~s1 & s2) : (s1 & ~s2);
     if (act == 0) return 0;
 
-    if (++epoch_ == 0) {  // epoch counter wrapped: stamps are stale
-        std::fill(overlay_stamp_.begin(), overlay_stamp_.end(), 0);
-        std::fill(queued_stamp_.begin(), queued_stamp_.end(), 0);
-        epoch_ = 1;
-    }
+    work_.begin(nl);
 
     // Faulty propagation of the stale value under v2: the site keeps v1
     // in activated lanes.
@@ -114,25 +101,16 @@ std::uint64_t TransitionFaultSim::detect_mask(const TdfFault& fault,
     // queued: fanout does not wrap around a register.
     auto change = [&](GateId id, std::uint64_t word) {
         overlay_[id] = word;
-        overlay_stamp_[id] = epoch_;
-        if (observed_[id] != 0) detected |= word ^ values.val2[id];
-        for (GateId out : nl.gate(id).fanout) {
-            if (queued_stamp_[out] == epoch_ ||
-                nl.gate(out).type == CellType::Dff) {
-                continue;
-            }
-            queued_stamp_[out] = epoch_;
-            heap_.push_back(nl.topo_rank(out));
-            std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        work_.mark_changed(id);
+        if (!nl.observe_indices(id).empty()) {
+            detected |= word ^ values.val2[id];
         }
+        work_.push_fanouts(id, [](CellType t) { return t != CellType::Dff; });
     };
     change(site, site_word);
 
-    const auto topo = nl.topo_order();
-    while (!heap_.empty()) {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
-        const GateId id = topo[heap_.back()];
-        heap_.pop_back();
+    while (!work_.empty()) {
+        const GateId id = work_.pop();
         const std::uint64_t w =
             eval_faulty(id, FaultSite::kOutputPin, 0, values);
         if (w != values.val2[id]) change(id, w);

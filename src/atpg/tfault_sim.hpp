@@ -6,17 +6,18 @@
 // and the stale value propagates to an observation point under v2 —
 // i.e. the gross-delay abstraction of a delay fault.  The simulator
 // packs 64 pattern pairs into machine words and propagates each fault
-// event-driven: a min-heap keyed by topological rank holds only the
-// gates with a changed fanin, the faulty values live in a dense
-// epoch-stamped overlay, and the detection mask accumulates as values
-// are written at observed signals.  Dff sinks end propagation.
-// No call allocates once the instance exists.
+// event-driven on a RankWorklist: only gates with a changed fanin are
+// queued, the faulty values live in a dense overlay whose valid slots
+// carry the worklist's "changed" stamp, and the detection mask
+// accumulates as values are written at observed signals.  Dff sinks
+// end propagation.  No call allocates once the instance exists.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "netlist/rank_worklist.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/logic_sim.hpp"
 #include "sim/pattern.hpp"
@@ -35,7 +36,7 @@ struct TdfFault {
 /// of every combinational gate).
 std::vector<TdfFault> enumerate_tdf_faults(const Netlist& netlist);
 
-/// Holds per-call scratch (~21 bytes per gate) that detect_mask()
+/// Holds per-call scratch (~20 bytes per gate) that detect_mask()
 /// mutates, so one instance must not be shared between threads: use one
 /// instance per thread.
 class TransitionFaultSim {
@@ -78,16 +79,11 @@ private:
 
     const Netlist* netlist_;
     LogicSim logic_;
-    std::vector<std::uint8_t> observed_;  ///< gate drives an observe point
 
-    // detect_mask() scratch: a gate's faulty v2 word is valid while its
-    // overlay stamp equals epoch_, and it sits on (or has left) the
-    // worklist while its queued stamp does.
+    // detect_mask() scratch: a gate's faulty v2 word is valid while the
+    // worklist marks it changed.
     mutable std::vector<std::uint64_t> overlay_;
-    mutable std::vector<std::uint32_t> overlay_stamp_;
-    mutable std::vector<std::uint32_t> queued_stamp_;
-    mutable std::vector<std::uint32_t> heap_;  ///< min-heap of topo ranks
-    mutable std::uint32_t epoch_ = 0;
+    mutable RankWorklist work_;
     mutable std::uint64_t gates_evaluated_ = 0;
 };
 

@@ -149,40 +149,4 @@ void Netlist::finalize() {
     finalized_ = true;
 }
 
-std::vector<GateId> Netlist::fanout_cone(GateId from) const {
-    std::vector<GateId> cone;
-    std::vector<bool> seen(gates_.size(), false);
-    std::vector<GateId> stack{from};
-    seen[from] = true;
-    while (!stack.empty()) {
-        const GateId id = stack.back();
-        stack.pop_back();
-        cone.push_back(id);
-        const Gate& g = gates_[id];
-        if (id != from &&
-            (g.type == CellType::Dff || g.type == CellType::Output)) {
-            continue;  // registers/pads terminate intra-cycle propagation
-        }
-        for (GateId out : g.fanout) {
-            if (!seen[out]) {
-                seen[out] = true;
-                stack.push_back(out);
-            }
-        }
-    }
-    // Processing order: the root first, then combinational nodes and
-    // pads by topological rank, register sinks last.  (A DFF node's
-    // topological rank reflects its Q-as-source role — position 0 — not
-    // its D-sink role, so rank alone would misplace it.)
-    std::sort(cone.begin(), cone.end(), [this, from](GateId a, GateId b) {
-        auto key = [this, from](GateId id) -> std::uint64_t {
-            if (id == from) return 0;
-            const bool sink = gates_[id].type == CellType::Dff;
-            return (sink ? (1ULL << 33) : (1ULL << 32)) + rank_[id];
-        };
-        return key(a) < key(b);
-    });
-    return cone;
-}
-
 }  // namespace fastmon

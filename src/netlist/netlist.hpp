@@ -103,11 +103,6 @@ public:
 
     [[nodiscard]] bool finalized() const { return finalized_; }
 
-    /// All nodes in the transitive fanout of `from`, including `from`
-    /// itself, in topological order.  DFF/Output sink nodes terminate
-    /// the propagation (fanout does not wrap around a register).
-    [[nodiscard]] std::vector<GateId> fanout_cone(GateId from) const;
-
 private:
     std::string name_;
     std::vector<Gate> gates_;

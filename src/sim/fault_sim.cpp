@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
-#include <limits>
 
 namespace fastmon {
 
@@ -12,30 +10,12 @@ GateId fault_site_signal(const Netlist& netlist, const FaultSite& site) {
     return netlist.gate(site.gate).fanin[site.pin];
 }
 
-void FaultSimScratch::begin_epoch(std::size_t num_gates) {
-    if (overlay_.size() != num_gates) {
-        overlay_.resize(num_gates);  // a slot is read only once stamped
-        epoch_ = std::numeric_limits<std::uint32_t>::max();
-    }
-    if (++epoch_ == 0) {  // first use, new netlist or epoch wrap
-        stamp_.assign(num_gates, 0);
-        queued_.assign(num_gates, 0);
-        epoch_ = 1;
-    }
-    heap_.clear();
-    observed_.clear();
-}
-
 FaultSim::FaultSim(const WaveSim& wave_sim) : wave_sim_(&wave_sim) {}
-
-const Waveform& FaultSim::site_signal(const FaultSite& site,
-                                      std::span<const Waveform> good) const {
-    return good[fault_site_signal(wave_sim_->netlist(), site)];
-}
 
 bool FaultSim::activated(const DelayFault& fault,
                          std::span<const Waveform> good) const {
-    const Waveform& w = site_signal(fault.site, good);
+    const Waveform& w =
+        good[fault_site_signal(wave_sim_->netlist(), fault.site)];
     // A slow-to-rise fault needs a rising edge at the site (and vice
     // versa).  Walk the toggle parity to find one.
     bool value = w.initial();
@@ -60,32 +40,25 @@ std::vector<ObserveDiff> FaultSim::simulate(
     assert(good.size() == nl.size());
 
     // Sparse faulty-waveform overlay: only gates that differ from the
-    // fault-free simulation are stamped with the current epoch.
-    scratch.begin_epoch(nl.size());
-    const std::uint32_t epoch = scratch.epoch_;
-    std::vector<std::uint32_t>& heap = scratch.heap_;
+    // fault-free simulation are marked changed in this walk.
+    RankWorklist& work = scratch.work_;
+    work.begin(nl);
+    scratch.overlay_.resize(nl.size());  // a slot is read only once marked
+    scratch.observed_.clear();
     std::vector<const Waveform*>& fanin_waves = scratch.fanin_waves_;
 
     // Keeps the freshly evaluated overlay slot of `id` if it differs
-    // from the fault-free wave: stamps it, records the observation
+    // from the fault-free wave: marks it, records the observation
     // points it drives and queues its combinational fanouts (Output and
     // Dff sinks end propagation: fanout does not wrap around a
     // register).
     auto settle = [&](GateId id) {
         if (scratch.overlay_[id] == good[id]) return;
-        scratch.stamp_[id] = epoch;
+        work.mark_changed(id);
         const auto obs = nl.observe_indices(id);
         scratch.observed_.insert(scratch.observed_.end(), obs.begin(),
                                  obs.end());
-        for (GateId out : nl.gate(id).fanout) {
-            if (scratch.queued_[out] == epoch ||
-                !is_combinational(nl.gate(out).type)) {
-                continue;
-            }
-            scratch.queued_[out] = epoch;
-            heap.push_back(nl.topo_rank(out));
-            std::push_heap(heap.begin(), heap.end(), std::greater<>());
-        }
+        work.push_fanouts(id, is_combinational);
     };
 
     const GateId site_gate = fault.site.gate;
@@ -113,15 +86,12 @@ std::vector<ObserveDiff> FaultSim::simulate(
 
     // Topological-rank order: a gate pops only after every fanin that
     // can still change (all of lower rank) has been settled.
-    const auto topo = nl.topo_order();
-    while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-        const GateId id = topo[heap.back()];
-        heap.pop_back();
+    while (!work.empty()) {
+        const GateId id = work.pop();
         fanin_waves.clear();
         for (GateId f : nl.gate(id).fanin) {
-            fanin_waves.push_back(scratch.has(f) ? &scratch.overlay_[f]
-                                                 : &good[f]);
+            fanin_waves.push_back(work.changed(f) ? &scratch.overlay_[f]
+                                                  : &good[f]);
         }
         wave_sim_->eval_gate_into(id, fanin_waves, scratch.overlay_[id],
                                   scratch.eval_);

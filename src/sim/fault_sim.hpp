@@ -9,25 +9,24 @@
 //
 // Hot-path plumbing (the engine runs one simulate() per activated
 // (fault, pattern) pair, millions on the larger benches):
-//   * event worklist: a min-heap of topological ranks, seeded from the
-//     site gate.  A gate is queued only when one of its fanins changed,
-//     and popped only after every fanin is final, so cost scales with
-//     the changed gates — there is no per-site fanout cone to build,
-//     cache or walk.  Observation points are collected through
-//     Netlist::observe_indices of the changed gates.
-//   * FaultSimScratch holds the faulty-waveform overlay as an
-//     epoch-stamped dense array indexed by GateId: membership tests
-//     are one load, and a new simulation "clears" the overlay by
-//     bumping the epoch instead of deallocating.  Gates are evaluated
-//     straight into their overlay slot through WaveSim::eval_gate_into,
-//     so every waveform and event buffer is recycled across calls.  One
-//     scratch per thread.
+//   * event frontier: a RankWorklist seeded from the site gate queues a
+//     gate only when one of its fanins changed and pops it after every
+//     fanin is final, so cost scales with the changed gates — there is
+//     no per-site fanout cone to build, cache or walk.  Observation
+//     points come from Netlist::observe_indices of the changed gates.
+//   * FaultSimScratch holds the faulty-waveform overlay as a dense
+//     array indexed by GateId, valid where the worklist marks a gate
+//     changed, so a new walk clears it without deallocating.  Gates
+//     are evaluated straight into their overlay slot through
+//     WaveSim::eval_gate_into, so every waveform and event buffer is
+//     recycled across calls.  One scratch per thread.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "netlist/rank_worklist.hpp"
 #include "sim/wave_sim.hpp"
 
 namespace fastmon {
@@ -65,13 +64,11 @@ struct ObserveDiff {
                                        const FaultSite& site);
 
 /// Per-thread scratch state of the fault-simulation hot path: the dense
-/// epoch-stamped faulty-waveform overlay, the event worklist and the
+/// faulty-waveform overlay, the event worklist and the
 /// recycled evaluation buffers.  Not thread-safe; use one instance per
 /// worker.
 class FaultSimScratch {
 public:
-    FaultSimScratch() = default;
-
     /// Gates the simulator re-evaluated through this scratch (cheap
     /// perf counter, monotone across calls).
     [[nodiscard]] std::uint64_t gates_evaluated() const {
@@ -81,20 +78,11 @@ public:
 private:
     friend class FaultSim;
 
-    void begin_epoch(std::size_t num_gates);
-    [[nodiscard]] bool has(GateId id) const {
-        return stamp_[id] == epoch_;
-    }
-
-    // A gate's overlay_ slot holds its faulty waveform while its stamp
-    // equals epoch_ (a slot whose result equalled the fault-free wave is
-    // left dirty and unstamped); it sits on (or has left) the heap while
-    // its queued stamp does.
+    // A gate's overlay_ slot holds its faulty waveform while the
+    // worklist marks it changed (a slot whose result equalled the
+    // fault-free wave is left dirty and unmarked).
     std::vector<Waveform> overlay_;
-    std::vector<std::uint32_t> stamp_;
-    std::vector<std::uint32_t> queued_;
-    std::uint32_t epoch_ = 0;
-    std::vector<std::uint32_t> heap_;      ///< min-heap of topo ranks
+    RankWorklist work_;
     std::vector<std::uint32_t> observed_;  ///< observe indices that changed
     std::vector<const Waveform*> fanin_waves_;
     Waveform pin_wave_;  ///< slowed fanin of an input-pin fault
@@ -124,11 +112,6 @@ public:
                                  std::span<const Waveform> good) const;
 
 private:
-    /// Waveform of the signal at the fault site (gate output for output
-    /// faults, driving fanin for input-pin faults).
-    [[nodiscard]] const Waveform& site_signal(
-        const FaultSite& site, std::span<const Waveform> good) const;
-
     const WaveSim* wave_sim_;
 };
 

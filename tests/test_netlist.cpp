@@ -89,20 +89,6 @@ TEST(Netlist, LevelsIncreaseAlongEdges) {
     EXPECT_GT(nl.depth(), 0u);
 }
 
-TEST(Netlist, FanoutConeContainsSelfAndStopsAtRegisters) {
-    const Netlist nl = make_s27();
-    const GateId g11 = nl.find("G11");
-    ASSERT_NE(g11, kNoGate);
-    const auto cone = nl.fanout_cone(g11);
-    EXPECT_EQ(cone.front(), g11);
-    // The cone includes the DFF sink node G6 = DFF(G11) but not G6's
-    // own fanouts (register boundary).
-    const GateId g6 = nl.find("G6");
-    EXPECT_NE(std::find(cone.begin(), cone.end(), g6), cone.end());
-    const GateId g8 = nl.find("G8");  // G8 = AND(G14, G6): behind the FF
-    EXPECT_EQ(std::find(cone.begin(), cone.end(), g8), cone.end());
-}
-
 TEST(Netlist, RejectsCombinationalCycle) {
     Netlist nl("cycle");
     const GateId a = nl.add_gate(CellType::Input, "a", {});

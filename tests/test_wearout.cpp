@@ -657,12 +657,16 @@ TEST(WearoutCli, ListProfilesPrintsTheCatalogAndExitsClean) {
         options);
     ASSERT_TRUE(bad.has_value());
     EXPECT_EQ(bad->exit_code(), 2);
-    // Malformed integer flags are rejected while parsing, before any
-    // pool or population is sized, with a diagnostic naming the flag.
+    // Malformed integer and real flags are rejected while parsing,
+    // before any pool or population is sized, with a diagnostic naming
+    // the flag.
     const std::vector<std::pair<std::string, std::string>> bad_counts = {
         {"--threads", "-1"},
         {"--population", "12x"},
         {"--population", "99999999999999999999"},
+        {"--step", "abc"},
+        {"--clock-margin", "-1"},
+        {"--horizon", "inf"},
     };
     for (std::size_t i = 0; i < bad_counts.size(); ++i) {
         const auto& [flag, value] = bad_counts[i];
@@ -680,6 +684,19 @@ TEST(WearoutCli, ListProfilesPrintsTheCatalogAndExitsClean) {
                                std::istreambuf_iterator<char>()};
         EXPECT_NE(text.find(flag), std::string::npos) << text;
     }
+    // fastmon_flow rejects them the same way but exits 1 (invalid
+    // options), keeping 2 for a degraded run under --strict.
+    SpawnOptions flow_options;
+    flow_options.output_path = (dir / "flow_fmax.txt").string();
+    auto flow = Subprocess::spawn({FASTMON_FLOW_BIN, "--circuit",
+                                   "demo_pipeline.bench", "--fmax", "abc"},
+                                  flow_options);
+    ASSERT_TRUE(flow.has_value());
+    EXPECT_EQ(flow->exit_code(), 1);
+    std::ifstream flow_err(flow_options.output_path);
+    const std::string flow_text{std::istreambuf_iterator<char>(flow_err),
+                                std::istreambuf_iterator<char>()};
+    EXPECT_NE(flow_text.find("--fmax"), std::string::npos) << flow_text;
     std::filesystem::remove_all(dir);
 }
 

@@ -137,6 +137,19 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
         }
         return argv[++i];
     };
+    // Checked flag values: false after a diagnostic when the value is
+    // missing or malformed.
+    auto count = [&](int& i, auto& out) {
+        const char* flag = argv[i];
+        const char* v = need_value(i);
+        return v != nullptr && fastmon::parse_count_flag(flag, v, out);
+    };
+    auto real = [&](int& i, double& out, const fastmon::RealRange& range) {
+        const char* flag = argv[i];
+        const char* v = need_value(i);
+        return v != nullptr && fastmon::parse_real_flag(flag, v, out, range);
+    };
+    using fastmon::kNonNegative, fastmon::kPositive, fastmon::kUnitInterval;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
         const char* v = nullptr;
@@ -161,10 +174,7 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             opt.config.wearout.enabled = true;
         } else if (strcmp(arg, "--activity-patterns") == 0) {
             std::size_t n = 0;
-            if (!(v = need_value(i)) ||
-                !fastmon::parse_count_flag(arg, v, n)) {
-                return false;
-            }
+            if (!count(i, n)) return false;
             if (n == 0) {
                 opt.config.wearout.activity.mode =
                     fastmon::ActivityConfig::Mode::Constant;
@@ -187,58 +197,40 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
             if (!(v = need_value(i))) return false;
             opt.profile = v;
         } else if (strcmp(arg, "--scale") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.scale = std::atof(v);
+            if (!real(i, opt.scale, kPositive)) return false;
         } else if (strcmp(arg, "--population") == 0) {
-            if (!(v = need_value(i)) ||
-                !fastmon::parse_count_flag(arg, v, opt.config.population)) {
-                return false;
-            }
+            if (!count(i, opt.config.population)) return false;
         } else if (strcmp(arg, "--seed") == 0) {
-            if (!(v = need_value(i)) ||
-                !fastmon::parse_count_flag(arg, v, opt.config.seed)) {
-                return false;
-            }
+            if (!count(i, opt.config.seed)) return false;
         } else if (strcmp(arg, "--defect-rate") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.model.defect.incidence = std::atof(v);
+            if (!real(i, opt.config.model.defect.incidence, kUnitInterval)) {
+                return false;
+            }
         } else if (strcmp(arg, "--variation") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.model.variation.sigma_log = std::atof(v);
+            if (!real(i, opt.config.model.variation.sigma_log, kNonNegative)) {
+                return false;
+            }
         } else if (strcmp(arg, "--horizon") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.horizon_years = std::atof(v);
+            if (!real(i, opt.config.horizon_years, kPositive)) return false;
         } else if (strcmp(arg, "--step") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.step_years = std::atof(v);
+            if (!real(i, opt.config.step_years, kPositive)) return false;
         } else if (strcmp(arg, "--screen") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.screen_years = std::atof(v);
+            if (!real(i, opt.config.screen_years, kNonNegative)) return false;
         } else if (strcmp(arg, "--early-fail") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.aggregate.early_fail_years = std::atof(v);
+            if (!real(i, opt.config.aggregate.early_fail_years, kNonNegative)) {
+                return false;
+            }
         } else if (strcmp(arg, "--clock-margin") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.config.clock_margin = std::atof(v);
+            if (!real(i, opt.config.clock_margin, kPositive)) return false;
         } else if (strcmp(arg, "--batch-width") == 0) {
-            if (!(v = need_value(i)) ||
-                !fastmon::parse_count_flag(arg, v, opt.config.batch_width)) {
-                return false;
-            }
+            if (!count(i, opt.config.batch_width)) return false;
         } else if (strcmp(arg, "--threads") == 0) {
-            if (!(v = need_value(i)) ||
-                !fastmon::parse_count_flag(arg, v, opt.config.num_threads)) {
-                return false;
-            }
+            if (!count(i, opt.config.num_threads)) return false;
         } else if (strcmp(arg, "--checkpoint") == 0) {
             if (!(v = need_value(i))) return false;
             opt.config.checkpoint_path = v;
         } else if (strcmp(arg, "--checkpoint-every") == 0) {
-            if (!(v = need_value(i)) ||
-                !fastmon::parse_count_flag(arg, v,
-                                           opt.config.checkpoint_every)) {
-                return false;
-            }
+            if (!count(i, opt.config.checkpoint_every)) return false;
         } else if (strcmp(arg, "--shard") == 0) {
             if (!(v = need_value(i))) return false;
             if (!parse_shard_spec(v, opt.config)) {

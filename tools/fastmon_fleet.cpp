@@ -91,6 +91,16 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        // Checked flag values: false after a diagnostic when the value
+        // is missing or malformed.
+        auto count = [&](auto& out) {
+            const char* text = need_value();
+            return text != nullptr && parse_count_flag(arg, text, out);
+        };
+        auto real = [&](double& out, const RealRange& range) {
+            const char* text = need_value();
+            return text != nullptr && parse_real_flag(arg, text, out, range);
+        };
         const char* v = nullptr;
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
             print_usage();
@@ -106,10 +116,7 @@ int main(int argc, char** argv) {
             if (!(v = need_value())) return 2;
             config.root = v;
         } else if (std::strcmp(arg, "--shards") == 0) {
-            if (!(v = need_value()) ||
-                !parse_count_flag(arg, v, config.shard_count)) {
-                return 2;
-            }
+            if (!count(config.shard_count)) return 2;
         } else if (std::strcmp(arg, "--campaign-bin") == 0) {
             if (!(v = need_value())) return 2;
             campaign_bin = v;
@@ -117,29 +124,18 @@ int main(int argc, char** argv) {
             if (!(v = need_value())) return 2;
             out_path = v;
         } else if (std::strcmp(arg, "--max-attempts") == 0) {
-            if (!(v = need_value()) ||
-                !parse_count_flag(arg, v, config.max_attempts)) {
-                return 2;
-            }
+            if (!count(config.max_attempts)) return 2;
         } else if (std::strcmp(arg, "--max-parallel") == 0) {
-            if (!(v = need_value()) ||
-                !parse_count_flag(arg, v, config.max_parallel)) {
-                return 2;
-            }
+            if (!count(config.max_parallel)) return 2;
         } else if (std::strcmp(arg, "--stall-timeout") == 0) {
-            if (!(v = need_value())) return 2;
-            config.stall_timeout_seconds = std::atof(v);
+            if (!real(config.stall_timeout_seconds, kPositive)) return 2;
         } else if (std::strcmp(arg, "--backoff") == 0) {
-            if (!(v = need_value())) return 2;
-            config.backoff_initial_seconds = std::atof(v);
+            if (!real(config.backoff_initial_seconds, kNonNegative)) return 2;
         } else if (std::strcmp(arg, "--inject") == 0) {
             if (!(v = need_value())) return 2;
             inject_spec = v;
         } else if (std::strcmp(arg, "--inject-shard") == 0) {
-            if (!(v = need_value()) ||
-                !parse_count_flag(arg, v, inject_shard)) {
-                return 2;
-            }
+            if (!count(inject_shard)) return 2;
         } else {
             std::cerr << "error: unknown option " << arg
                       << " (--help for usage)\n";

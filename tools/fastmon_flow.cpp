@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(arg, "--seed") == 0) {
             if (!parse_count_flag(arg, value(), config.seed)) return 1;
         } else if (std::strcmp(arg, "--fmax") == 0) {
-            config.fmax_factor = std::atof(value());
+            if (!parse_real_flag(arg, value(), config.fmax_factor, kPositive)) return 1;
         } else if (std::strcmp(arg, "--monitor-fraction") == 0) {
-            config.monitor_fraction = std::atof(value());
+            if (!parse_real_flag(arg, value(), config.monitor_fraction, kUnitInterval)) return 1;
         } else if (std::strcmp(arg, "--variation") == 0) {
-            config.variation_sigma = std::atof(value());
+            if (!parse_real_flag(arg, value(), config.variation_sigma, kNonNegative)) return 1;
         } else if (std::strcmp(arg, "--max-faults") == 0) {
             if (!parse_count_flag(arg, value(),
                                   config.max_simulated_faults)) {

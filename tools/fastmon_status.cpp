@@ -10,7 +10,6 @@
 // one, which --follow tolerates.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -19,6 +18,7 @@
 #include <string>
 #include <thread>
 
+#include "util/cli_parse.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 
@@ -145,25 +145,24 @@ int main(int argc, char** argv) {
     double stale_after = 10.0;
     for (int i = 1; i < argc; ++i) {
         const char* arg = argv[i];
+        // Checked flag value: false after a diagnostic when it is
+        // missing or malformed.
+        auto real = [&](double& out, const fastmon::RealRange& range) {
+            if (i + 1 >= argc) {
+                std::cerr << "error: " << arg << " needs a value\n";
+                return false;
+            }
+            return fastmon::parse_real_flag(arg, argv[++i], out, range);
+        };
         if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
             print_usage();
             return 0;
         } else if (std::strcmp(arg, "--follow") == 0) {
             follow = true;
         } else if (std::strcmp(arg, "--interval") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --interval needs a value\n";
-                return 2;
-            }
-            interval = std::atof(argv[++i]);
-            if (interval <= 0.0) interval = 1.0;
+            if (!real(interval, fastmon::kPositive)) return 2;
         } else if (std::strcmp(arg, "--stale-after") == 0) {
-            if (i + 1 >= argc) {
-                std::cerr << "error: --stale-after needs a value\n";
-                return 2;
-            }
-            stale_after = std::atof(argv[++i]);
-            if (stale_after < 0.0) stale_after = 0.0;
+            if (!real(stale_after, fastmon::kNonNegative)) return 2;
         } else if (arg[0] == '-') {
             std::cerr << "error: unknown option " << arg
                       << " (--help for usage)\n";
