@@ -10,7 +10,7 @@
 
 #include <thread>
 
-#include "campaign/checkpoint.hpp"
+#include "campaign/shard.hpp"
 #include "monitor/placement.hpp"
 #include "timing/sta_engine.hpp"
 #include "util/cancel.hpp"
@@ -39,56 +39,17 @@ std::uint64_t telemetry_now_ns() {
             .count());
 }
 
-/// Heartbeat period: explicit config wins, then $FASTMON_HEARTBEAT,
-/// then 1 s.
-double resolve_heartbeat_seconds(const CampaignConfig& config) {
-    if (config.heartbeat_seconds > 0.0) return config.heartbeat_seconds;
-    if (const char* env = std::getenv("FASTMON_HEARTBEAT")) {
-        const double v = std::atof(env);
-        if (v > 0.0) return v;
-    }
-    return 1.0;
-}
-
-/// Worker-local streaming sketches, merged into the campaign-level
-/// accumulator at shard boundaries — the same associative fold a
-/// future --shard i/N mode will do across processes.
-struct WorkerSketches {
-    QuantileSketch roll_latency_us;
-    QuantileSketch first_alert_years;
-    QuantileSketch failure_years;
-
-    void record_outcome(const DeviceOutcome& out) {
-        // Widest guard band's first alert; -1 ("never") stays out of
-        // the distribution, so count = devices that alerted/failed.
-        if (!out.first_alert_years.empty() &&
-            out.first_alert_years.back() >= 0.0) {
-            first_alert_years.record(out.first_alert_years.back());
-        }
-        if (out.failure_years >= 0.0) {
-            failure_years.record(out.failure_years);
-        }
-    }
-};
-
-struct CampaignSketches {
+/// Per-device roll latency of this process, merged from the
+/// worker-local sketches at chunk boundaries.
+struct LatencySketch {
     std::mutex mutex;
-    WorkerSketches merged;
+    QuantileSketch merged;
 
-    void merge(const WorkerSketches& local) {
+    void merge(const QuantileSketch& local) {
         const std::lock_guard<std::mutex> lock(mutex);
-        merged.roll_latency_us.merge(local.roll_latency_us);
-        merged.first_alert_years.merge(local.first_alert_years);
-        merged.failure_years.merge(local.failure_years);
+        merged.merge(local);
     }
 };
-
-Json sketch_block(const QuantileSketch& sketch) {
-    Json j = Json::object();
-    j.set("summary", sketch.summary());
-    j.set("sketch", sketch.to_json());
-    return j;
-}
 
 // Lanes per batched pass.  Not part of the fingerprint or canonical
 // string: every width produces bit-identical outcomes.
@@ -124,7 +85,7 @@ struct ShardEnv {
     std::size_t batch_width;
     std::vector<std::optional<DeviceOutcome>>& slots;
     ProgressReporter* reporter;
-    CampaignSketches& sketches;
+    LatencySketch& latency;
 };
 
 /// Rolls the pending devices of [begin, end) through one kernel: the
@@ -143,7 +104,7 @@ void roll_shard(const ShardEnv& env, std::size_t begin, std::size_t end) {
     const RolloutContext& ctx = env.ctx;
     ProgressReporter::WorkerSlot* slot =
         env.reporter ? &env.reporter->slot_for_this_thread() : nullptr;
-    WorkerSketches local;
+    QuantileSketch latency;
     std::unique_ptr<StaEngine> engine;
     std::unique_ptr<BatchRollout> rollout;
     if (env.batch_width > 1) {
@@ -179,7 +140,7 @@ void roll_shard(const ShardEnv& env, std::size_t begin, std::size_t end) {
         return sample;
     };
 
-    // Emit: slot write, sketches and heartbeat counters.  Counters are
+    // Emit: slot write, latency sketch and heartbeat counters.  Counters are
     // diffed from the rollout's cumulative stats, so the SoA lane loops
     // run untouched.  Heartbeat "batches" counts STA passes (the scalar
     // kernel takes one per grid year), so lane_years / batches is the
@@ -192,8 +153,7 @@ void roll_shard(const ShardEnv& env, std::size_t begin, std::size_t end) {
         const std::uint64_t dt = roll_ns + (now - mark);
         roll_ns = 0;
         mark = now;
-        local.roll_latency_us.record(static_cast<double>(dt) * 1e-3);
-        local.record_outcome(out);
+        latency.record(static_cast<double>(dt) * 1e-3);
         env.slots[index] = std::move(out);
         if (!slot) return;
         // The scalar kernel evaluates the full grid for every device
@@ -227,7 +187,7 @@ void roll_shard(const ShardEnv& env, std::size_t begin, std::size_t end) {
             emit(index, out);
         }
     }
-    env.sketches.merge(local);
+    env.latency.merge(latency);
     if (engine) {
         const StaEngine::Stats& es = engine->stats();
         metrics.counter("campaign.sta_full_passes").add(es.full_passes);
@@ -299,14 +259,17 @@ std::string campaign_canonical(const Netlist& netlist,
     return canonical;
 }
 
-Json CampaignResult::to_json(const CampaignConfig& config) const {
-    Json j = Json::object();
+namespace {
 
+/// The deterministic "campaign" report block: circuit facts fixed by
+/// campaign_prepare plus the configuration.
+Json campaign_block(const CampaignResult& result,
+                    const CampaignConfig& config) {
     Json campaign = Json::object();
-    campaign.set("circuit", circuit);
-    campaign.set("num_gates", num_gates);
-    campaign.set("num_monitors", num_monitors);
-    campaign.set("clock_period", clock_period);
+    campaign.set("circuit", result.circuit);
+    campaign.set("num_gates", result.num_gates);
+    campaign.set("num_monitors", result.num_monitors);
+    campaign.set("clock_period", result.clock_period);
     campaign.set("population", config.population);
     campaign.set("seed", config.seed);
     Json model = Json::object();
@@ -347,8 +310,14 @@ Json CampaignResult::to_json(const CampaignConfig& config) const {
     campaign.set("step_years", config.step_years);
     campaign.set("screen_years", config.screen_years);
     campaign.set("early_fail_years", config.aggregate.early_fail_years);
-    j.set("campaign", std::move(campaign));
+    return campaign;
+}
 
+}  // namespace
+
+Json CampaignResult::to_json(const CampaignConfig& config) const {
+    Json j = Json::object();
+    j.set("campaign", campaign_block(*this, config));
     j.set("aggregate", aggregate.to_json());
 
     Json run = Json::object();
@@ -448,19 +417,32 @@ CampaignResult run_campaign(const Netlist& netlist,
     if (!config.heartbeat_path.empty() || config.progress_stderr) {
         ProgressConfig pc;
         pc.path = config.heartbeat_path;
-        pc.interval_seconds = resolve_heartbeat_seconds(config);
+        pc.interval_seconds = config.heartbeat_seconds > 0.0
+                                  ? config.heartbeat_seconds
+                                  : 1.0;
         pc.stderr_line = config.progress_stderr;
         pc.label = result.circuit;
         pc.devices_total = expected;
         pc.grid_points = ctx.grid.size();
         reporter = std::make_unique<ProgressReporter>(std::move(pc));
     }
-    CampaignSketches sketches;
+    LatencySketch latency;
 
-    const std::uint64_t fingerprint =
-        checkpoint_fingerprint(campaign_canonical(netlist, config));
+    // The campaign-state artifact at checkpoint_path: the header is fixed
+    // here, outcomes and their partial aggregate are refilled at every
+    // snapshot.  It doubles as this shard's mergeable result.
+    ShardResult artifact;
+    artifact.fingerprint = fnv1a64(campaign_canonical(netlist, config));
+    artifact.shard_index = static_cast<std::uint32_t>(config.shard_index);
+    artifact.shard_count = static_cast<std::uint32_t>(
+        std::max<std::size_t>(config.shard_count, 1));
+    artifact.population = config.population;
+    artifact.range_begin = range_begin;
+    artifact.range_end = range_end;
+    artifact.early_fail_years = config.aggregate.early_fail_years;
+    artifact.campaign = campaign_block(result, config);
 
-    // --- campaign_resume: trust completed devices from the snapshot ---
+    // --- campaign_resume: trust completed devices from the artifact ---
     std::vector<std::optional<DeviceOutcome>> slots(config.population);
     {
         PhaseStopwatch sw;
@@ -471,22 +453,25 @@ CampaignResult run_campaign(const Netlist& netlist,
         if (config.resume && !config.checkpoint_path.empty()) {
             const TraceSpan span("campaign_checkpoint", "campaign");
             std::string error;
-            const auto ckpt = load_checkpoint(config.checkpoint_path, &error);
-            if (!ckpt) {
+            const auto previous =
+                load_shard_result(config.checkpoint_path, &error);
+            if (!previous) {
                 st.outcome = PhaseOutcome::Degraded;
                 st.detail = error.empty() ? "no checkpoint file; fresh start"
-                                          : error + "; fresh start";
-            } else if (ckpt->fingerprint != fingerprint ||
-                       ckpt->population != config.population) {
+                                          : config.checkpoint_path + ": " +
+                                                error + "; fresh start";
+            } else if (previous->fingerprint != artifact.fingerprint ||
+                       previous->population != config.population) {
                 st.outcome = PhaseOutcome::Degraded;
                 st.detail =
                     "checkpoint belongs to a different campaign; fresh start";
             } else {
-                // Trust only outcomes inside this shard's range: a
-                // checkpoint written by a sibling shard shares the
-                // campaign fingerprint, and folding its devices in
-                // here would double-count them at merge time.
-                for (const DeviceOutcome& out : ckpt->outcomes) {
+                // Trust only outcomes inside this shard's range: an
+                // artifact written by a sibling shard or an unsharded
+                // run shares the campaign fingerprint, and folding its
+                // other devices in here would double-count them at
+                // merge time.
+                for (const DeviceOutcome& out : previous->outcomes) {
                     if (out.index < range_begin || out.index >= range_end) {
                         continue;
                     }
@@ -523,24 +508,27 @@ CampaignResult run_campaign(const Netlist& netlist,
 
         result.batch_width = resolve_batch_width(config);
         const ShardEnv env{config, ctx,           sites,   result.batch_width,
-                           slots,  reporter.get(), sketches};
+                           slots,  reporter.get(), latency};
 
         const auto save_snapshot = [&] {
-            if (config.checkpoint_path.empty()) return;
+            if (config.checkpoint_path.empty()) return true;
             const TraceSpan ckpt_span("campaign_checkpoint", "campaign");
-            CampaignCheckpoint ckpt;
-            ckpt.fingerprint = fingerprint;
-            ckpt.population = config.population;
+            artifact.outcomes.clear();
             for (const auto& slot : slots) {
-                if (slot) ckpt.outcomes.push_back(*slot);
+                if (slot) artifact.outcomes.push_back(*slot);
             }
-            if (save_checkpoint(config.checkpoint_path, ckpt)) {
+            artifact.aggregate =
+                aggregate_outcomes(artifact.outcomes, config.aggregate)
+                    .to_json();
+            artifact.roll_latency_us = latency.merged;
+            if (save_shard_result(config.checkpoint_path, artifact)) {
                 ++result.checkpoints_written;
                 metrics.counter("campaign.checkpoints_written").add();
-            } else {
-                log_warn() << "campaign: failed to write checkpoint "
-                           << config.checkpoint_path;
+                return true;
             }
+            log_warn() << "campaign: failed to write checkpoint "
+                       << config.checkpoint_path;
+            return false;
         };
 
         const std::size_t block =
@@ -559,7 +547,9 @@ CampaignResult run_campaign(const Netlist& netlist,
                 } else {
                     roll_shard(env, begin, end);
                 }
-                if (end < range_end || token.cancelled()) {
+                // The last block (or a cancelled one) is saved once,
+                // after the loop.
+                if (end < range_end && !token.cancelled()) {
                     save_snapshot();
                 }
             }
@@ -567,7 +557,7 @@ CampaignResult run_campaign(const Netlist& netlist,
             // An engine below the device loop (STA mid-pass) observed
             // the request first; the device stays incomplete.
         }
-        save_snapshot();
+        const bool saved = save_snapshot();
 
         std::size_t completed = 0;
         for (const auto& slot : slots) {
@@ -582,6 +572,9 @@ CampaignResult run_campaign(const Netlist& netlist,
             st.outcome = PhaseOutcome::Degraded;
             st.detail = "cancelled after " + std::to_string(completed) +
                         " of " + std::to_string(expected) + " devices";
+        } else if (!saved) {
+            st.outcome = PhaseOutcome::Degraded;
+            st.detail = "cannot write checkpoint " + config.checkpoint_path;
         }
         if (reporter) {
             // The final heartbeat carries the honest terminal state and
@@ -592,25 +585,6 @@ CampaignResult run_campaign(const Netlist& netlist,
         }
         result.phases.push_back(sw.elapsed("campaign_rollout"));
         result.status.phases.push_back(std::move(st));
-    }
-
-    // Fold the merged worker sketches into the global registry (so run
-    // manifests embed the summaries) and the report's run block.
-    {
-        const WorkerSketches& merged = sketches.merged;
-        metrics.histogram("campaign.roll_latency_us")
-            .merge(merged.roll_latency_us);
-        metrics.histogram("campaign.first_alert_years")
-            .merge(merged.first_alert_years);
-        metrics.histogram("campaign.failure_years")
-            .merge(merged.failure_years);
-        Json telemetry = Json::object();
-        telemetry.set("roll_latency_us",
-                      sketch_block(merged.roll_latency_us));
-        telemetry.set("first_alert_years",
-                      sketch_block(merged.first_alert_years));
-        telemetry.set("failure_years", sketch_block(merged.failure_years));
-        result.telemetry = std::move(telemetry);
     }
 
     // --- campaign_aggregate: deterministic fold in device order ------
@@ -624,6 +598,18 @@ CampaignResult run_campaign(const Netlist& netlist,
         }
         result.aggregate = aggregate_outcomes(result.outcomes,
                                               config.aggregate);
+        // Telemetry into the global registry (so run manifests embed
+        // the summaries) and the report's run block.  The year
+        // distributions are rebuilt from every completed outcome,
+        // resumed ones included; latency covers this process only.
+        const OutcomeSketches distributions =
+            sketch_outcomes(result.outcomes);
+        metrics.histogram("campaign.roll_latency_us").merge(latency.merged);
+        metrics.histogram("campaign.first_alert_years")
+            .merge(distributions.first_alert_years);
+        metrics.histogram("campaign.failure_years")
+            .merge(distributions.failure_years);
+        result.telemetry = telemetry_json(latency.merged, distributions);
         // Per-mechanism breakdown counters (mission-profile campaigns
         // only): campaign.wearout_failed_<mechanism> and the survivor
         // counterpart, mirroring the aggregate's attribution fold.
@@ -645,7 +631,7 @@ CampaignResult run_campaign(const Netlist& netlist,
         result.status.phases.push_back(std::move(st));
     }
 
-    if (config.wearout.enabled && !result.telemetry.is_null()) {
+    if (config.wearout.enabled) {
         // Mirror the dominant-mechanism breakdown into the live
         // telemetry block so dashboards see it without parsing the
         // aggregate; key exists only on mission-profile campaigns.

@@ -13,7 +13,8 @@
 // aggregated in index order, and artifact JSON carries no timestamps —
 // so a campaign is bit-identical across thread counts, and a campaign
 // killed by SIGINT / FASTMON_DEADLINE and resumed from its checkpoint
-// converges to the exact aggregate of an uninterrupted run.
+// (a campaign-state artifact, campaign/shard.hpp) converges to the
+// exact aggregate of an uninterrupted run.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +52,15 @@ struct CampaignConfig {
     /// Simulation lanes: 0 = shared pool (one per hardware thread),
     /// 1 = serial, n >= 2 = dedicated pool of n workers.
     std::size_t num_threads = 0;
-    /// When non-empty, a resumable snapshot is atomically rewritten
-    /// here every `checkpoint_every` devices (and at exit).
+    /// When non-empty, the campaign-state artifact (a ShardResult,
+    /// campaign/shard.hpp) is atomically rewritten here every
+    /// `checkpoint_every` devices and at exit: incomplete while the run
+    /// is unfinished, this shard's mergeable result once it finishes.
     std::string checkpoint_path;
     std::size_t checkpoint_every = 64;
-    /// Resume from an existing checkpoint at checkpoint_path (a
-    /// fingerprint mismatch degrades to a fresh start, recorded in the
-    /// status block).
+    /// Resume from an existing artifact at checkpoint_path (a damaged
+    /// file or a fingerprint mismatch degrades to a fresh start,
+    /// recorded in the status block).
     bool resume = false;
     /// Live lanes per batched STA pass (a settled lane takes the
     /// shard's next device at once).  0 = the engine's column width
@@ -74,8 +77,7 @@ struct CampaignConfig {
     /// Pure observation: the campaign/aggregate blocks are
     /// bit-identical with telemetry on or off.
     std::string heartbeat_path;
-    /// Heartbeat period in seconds; <= 0 reads $FASTMON_HEARTBEAT and
-    /// falls back to 1 s.
+    /// Heartbeat period in seconds; <= 0 means 1 s.
     double heartbeat_seconds = 0.0;
     /// Mirror each heartbeat as a throttled one-line stderr report.
     bool progress_stderr = false;
@@ -83,7 +85,7 @@ struct CampaignConfig {
     /// NBTI/HCI/EM/TDDB + the legacy knob, activity-driven stress).
     /// Disabled by default: devices degrade through the registry's
     /// legacy preset (WearoutConfig::legacy_preset()) and every
-    /// artifact — report, checkpoint, shard — is byte-identical to a
+    /// artifact — report and checkpoint — is byte-identical to a
     /// pre-wearout build.  When enabled the wear-out fields join the
     /// canonical string, so checkpoints from different missions never
     /// cross-resume.
@@ -125,11 +127,13 @@ struct CampaignResult {
     std::size_t checkpoints_written = 0;
     /// Resolved lanes per batched pass this run (1 = scalar engine).
     std::size_t batch_width = 1;
-    /// Streaming-sketch telemetry (per-device roll latency, first-alert
-    /// and failure-year distributions): {summary, sketch} per metric,
-    /// merged from the worker-local sketches.  Lives in the "run"
-    /// block of the report — latency is wall-clock, so this block is
-    /// NOT part of the deterministic campaign/aggregate contract.
+    /// Streaming-sketch telemetry: {summary, sketch} per metric (see
+    /// telemetry_json in campaign/shard.hpp).  Per-device roll latency
+    /// covers the devices this process rolled; the first-alert and
+    /// failure-year distributions are rebuilt from every completed
+    /// outcome, resumed ones included.  Lives in the "run" block of
+    /// the report — latency is wall-clock, so this block is NOT part of
+    /// the deterministic campaign/aggregate contract.
     Json telemetry;
     std::vector<PhaseTime> phases;
     double total_wall_seconds = 0.0;
@@ -147,8 +151,9 @@ struct CampaignResult {
 CampaignResult run_campaign(const Netlist& netlist,
                             const CampaignConfig& config);
 
-/// Canonical fingerprint input of a campaign (circuit + config); the
-/// checkpoint layer hashes this to detect mismatched resumes.
+/// Canonical fingerprint input of a campaign (circuit + config); its
+/// hash stamps every campaign-state artifact, so a mismatched resume or
+/// merge is detected.
 std::string campaign_canonical(const Netlist& netlist,
                                const CampaignConfig& config);
 

@@ -12,7 +12,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "campaign/checkpoint.hpp"
 #include "campaign/shard.hpp"
 #include "util/atomic_file.hpp"
 #include "util/log.hpp"
@@ -226,11 +225,6 @@ std::string shard_artifact_path(const std::string& root,
                                 std::uint32_t shard_index) {
     return root + "/shards/shard-" + std::to_string(shard_index) + ".json";
 }
-std::string shard_checkpoint_path(const std::string& root,
-                                  std::uint32_t shard_index) {
-    return root + "/shards/shard-" + std::to_string(shard_index) +
-           ".ckpt.json";
-}
 std::string shard_heartbeat_path(const std::string& root,
                                  std::uint32_t shard_index) {
     return root + "/shards/shard-" + std::to_string(shard_index) +
@@ -274,13 +268,12 @@ std::unique_ptr<ShardHandle> SubprocessShardLauncher::launch(
     argv.push_back("--shard");
     argv.push_back(std::to_string(spec.shard_index) + "/" +
                    std::to_string(spec.shard_count));
-    argv.push_back("--shard-out");
-    argv.push_back(spec.artifact_path);
+    // One file per shard: the worker's checkpoint is its artifact.
     argv.push_back("--checkpoint");
-    argv.push_back(spec.checkpoint_path);
-    // Always --resume: on the first attempt there is no checkpoint and
-    // the run starts fresh; on a retry the crashed attempt's snapshot
-    // turns the redo into an incremental completion.
+    argv.push_back(spec.artifact_path);
+    // Always --resume: on the first attempt there is no artifact and
+    // the run starts fresh; on a retry the crashed attempt's incomplete
+    // artifact turns the redo into an incremental completion.
     argv.push_back("--resume");
     argv.push_back("--heartbeat");
     argv.push_back(spec.heartbeat_path);
@@ -441,8 +434,6 @@ FleetReport run_fleet(const FleetConfig& config, FleetQueue& queue,
                 spec.attempt = job->attempts;
                 spec.artifact_path =
                     shard_artifact_path(queue.root(), job->shard_index);
-                spec.checkpoint_path =
-                    shard_checkpoint_path(queue.root(), job->shard_index);
                 spec.heartbeat_path =
                     shard_heartbeat_path(queue.root(), job->shard_index);
                 spec.log_path = shard_log_path(

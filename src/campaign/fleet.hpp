@@ -3,28 +3,29 @@
 // Splits one campaign into N shard jobs, runs each `fastmon_campaign
 // --shard i/N` as a real subprocess, and survives everything a fleet
 // can throw at it: a crashed shard is retried with bounded exponential
-// backoff (resuming from its own checkpoint), a hung shard is detected
-// through its heartbeat sidecar (devices_done frozen past the stall
-// timeout), SIGKILLed, and retried, a shard that exits 0 but leaves a
-// corrupt or incomplete artifact counts as a failed attempt, and a job
-// that keeps failing is quarantined after max_attempts with an honest
-// record instead of wedging the fleet forever.
+// backoff (resuming from its own incomplete artifact), a hung shard is
+// detected through its heartbeat sidecar (devices_done frozen past the
+// stall timeout), SIGKILLed, and retried, a shard that exits 0 but
+// leaves a corrupt or incomplete artifact counts as a failed attempt,
+// and a job that keeps failing is quarantined after max_attempts with
+// an honest record instead of wedging the fleet forever.
 //
 // Jobs live in a directory queue under the fleet root:
 //
-//   <root>/queue/<id>.json       eligible jobs
-//   <root>/running/<id>.json     claimed jobs (claim = atomic rename)
-//   <root>/done/<id>.json        completed jobs
-//   <root>/quarantine/<id>.json  poison jobs + failure record
-//   <root>/shards/               shard artifacts / checkpoints / heartbeats
-//   <root>/logs/                 per-attempt worker stdout+stderr
+//   <root>/queue/<id>.json                  eligible jobs
+//   <root>/running/<id>.json                claimed jobs (atomic rename)
+//   <root>/done/<id>.json                   completed jobs
+//   <root>/quarantine/<id>.json             poison jobs + failure record
+//   <root>/shards/shard-<i>.json            shard artifact = checkpoint
+//   <root>/shards/shard-<i>.heartbeat.json  live heartbeat sidecar
+//   <root>/logs/                            per-attempt worker output
 //
 // Claiming is rename(queue/x, running/x): atomic on POSIX, so several
 // supervisors can share one queue without double-claiming.  Delivery is
 // at-least-once — a supervisor that dies mid-job leaves the file in
-// running/, and the next `--recover` pass requeues it; the shard
-// checkpoint makes the redundant re-run cheap and the merged result is
-// bit-identical either way.
+// running/, and the next `--recover` pass requeues it; the shard's
+// artifact doubles as its checkpoint, so the redundant re-run is cheap
+// and the merged result is bit-identical either way.
 #pragma once
 
 #include <cstdint>
@@ -107,8 +108,6 @@ private:
 /// Canonical per-shard file locations under the fleet root.
 [[nodiscard]] std::string shard_artifact_path(const std::string& root,
                                               std::uint32_t shard_index);
-[[nodiscard]] std::string shard_checkpoint_path(const std::string& root,
-                                                std::uint32_t shard_index);
 [[nodiscard]] std::string shard_heartbeat_path(const std::string& root,
                                                std::uint32_t shard_index);
 [[nodiscard]] std::string shard_log_path(const std::string& root,
@@ -120,8 +119,8 @@ struct ShardLaunch {
     std::uint32_t shard_index = 0;
     std::uint32_t shard_count = 1;
     std::uint32_t attempt = 1;  ///< 1-based
+    /// The shard's artifact, also its resume checkpoint.
     std::string artifact_path;
-    std::string checkpoint_path;
     std::string heartbeat_path;
     std::string log_path;
     std::string fault_inject;  ///< FASTMON_FAULT_INJECT override; "" = none
@@ -149,7 +148,8 @@ public:
 };
 
 /// Spawns `campaign_bin` with the campaign CLI arguments plus the
-/// shard/artifact/checkpoint/heartbeat flags from the ShardLaunch.
+/// shard, checkpoint (= artifact), resume and heartbeat flags from the
+/// ShardLaunch.
 class SubprocessShardLauncher : public ShardLauncher {
 public:
     SubprocessShardLauncher(std::string campaign_bin,

@@ -1,12 +1,12 @@
 #include "campaign/shard.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 #include <sys/stat.h>
 
-#include "campaign/checkpoint.hpp"
 #include "util/atomic_file.hpp"
 #include "util/fault_inject.hpp"
 
@@ -51,6 +51,62 @@ void corrupt_in_place(std::string& text) {
 
 }  // namespace
 
+std::uint64_t fnv1a64(std::string_view canonical) {
+    std::uint64_t hash = 0xCBF29CE484222325ULL;
+    for (const char c : canonical) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001B3ULL;
+    }
+    return hash;
+}
+
+std::string fingerprint_hex(std::uint64_t fp) {
+    char buf[24];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(fp));
+    return buf;
+}
+
+std::optional<std::uint64_t> parse_fingerprint_hex(std::string_view hex) {
+    if (hex.size() != 16) return std::nullopt;
+    std::uint64_t value = 0;
+    for (char c : hex) {
+        value <<= 4;
+        if (c >= '0' && c <= '9') {
+            value |= static_cast<std::uint64_t>(c - '0');
+        } else if (c >= 'a' && c <= 'f') {
+            value |= static_cast<std::uint64_t>(c - 'a' + 10);
+        } else {
+            return std::nullopt;
+        }
+    }
+    return value;
+}
+
+OutcomeSketches sketch_outcomes(const std::vector<DeviceOutcome>& outcomes) {
+    OutcomeSketches sketches;
+    for (const DeviceOutcome& out : outcomes) {
+        if (!out.first_alert_years.empty() &&
+            out.first_alert_years.back() >= 0.0) {
+            sketches.first_alert_years.record(out.first_alert_years.back());
+        }
+        if (out.failure_years >= 0.0) {
+            sketches.failure_years.record(out.failure_years);
+        }
+    }
+    return sketches;
+}
+
+Json telemetry_json(const QuantileSketch& roll_latency_us,
+                    const OutcomeSketches& distributions) {
+    Json telemetry = Json::object();
+    telemetry.set("roll_latency_us", sketch_block(roll_latency_us));
+    telemetry.set("first_alert_years",
+                  sketch_block(distributions.first_alert_years));
+    telemetry.set("failure_years", sketch_block(distributions.failure_years));
+    return telemetry;
+}
+
 Json ShardResult::to_json() const {
     Json payload = Json::object();
     payload.set("fingerprint", fingerprint_hex(fingerprint));
@@ -64,8 +120,6 @@ Json ShardResult::to_json() const {
     payload.set("aggregate", aggregate);
     Json telemetry = Json::object();
     telemetry.set("roll_latency_us", sketch_block(roll_latency_us));
-    telemetry.set("first_alert_years", sketch_block(first_alert_years));
-    telemetry.set("failure_years", sketch_block(failure_years));
     payload.set("telemetry", std::move(telemetry));
     Json out = Json::array();
     for (const DeviceOutcome& o : outcomes) out.push_back(o.to_json());
@@ -79,7 +133,7 @@ Json ShardResult::to_json() const {
     // loader can recompute it from a re-serialization and catch any
     // corruption that survived the JSON parse.
     j.set("checksum",
-          fingerprint_hex(checkpoint_fingerprint(payload.dump(0))));
+          fingerprint_hex(fnv1a64(payload.dump(0))));
     j.set("payload", std::move(payload));
     return j;
 }
@@ -111,7 +165,7 @@ std::optional<ShardResult> ShardResult::from_json(const Json& j,
     }
     const auto stored = parse_fingerprint_hex(checksum->as_string());
     if (!stored ||
-        *stored != checkpoint_fingerprint(payload->dump(0))) {
+        *stored != fnv1a64(payload->dump(0))) {
         return reject(
             "shard artifact checksum mismatch (torn or corrupt)");
     }
@@ -173,20 +227,11 @@ std::optional<ShardResult> ShardResult::from_json(const Json& j,
     shard.campaign = *campaign;
     shard.aggregate = *aggregate;
 
-    const auto load_sketch = [&](const char* key, QuantileSketch* into) {
-        const Json* block = telemetry->find(key);
-        const Json* raw = block ? block->find("sketch") : nullptr;
-        if (!raw) return false;
-        auto sketch = QuantileSketch::from_json(*raw);
-        if (!sketch) return false;
-        *into = std::move(*sketch);
-        return true;
-    };
-    if (!load_sketch("roll_latency_us", &shard.roll_latency_us) ||
-        !load_sketch("first_alert_years", &shard.first_alert_years) ||
-        !load_sketch("failure_years", &shard.failure_years)) {
-        return reject("shard telemetry sketches are malformed");
-    }
+    const Json* latency = telemetry->find("roll_latency_us");
+    const Json* raw = latency ? latency->find("sketch") : nullptr;
+    auto sketch = raw ? QuantileSketch::from_json(*raw) : std::nullopt;
+    if (!sketch) return reject("shard roll-latency sketch is malformed");
+    shard.roll_latency_us = std::move(*sketch);
 
     std::uint32_t prev_index = 0;
     for (const Json& o : outcomes->as_array()) {
@@ -257,47 +302,10 @@ bool ShardResult::merge(const ShardResult& other, std::string* error) {
     range_end = std::max(range_end, other.range_end);
     shard_index = std::min(shard_index, other.shard_index);
     roll_latency_us.merge(other.roll_latency_us);
-    first_alert_years.merge(other.first_alert_years);
-    failure_years.merge(other.failure_years);
     AggregateConfig agg_config;
     agg_config.early_fail_years = early_fail_years;
     aggregate = aggregate_outcomes(outcomes, agg_config).to_json();
     return true;
-}
-
-ShardResult make_shard_result(const Netlist& netlist,
-                              const CampaignConfig& config,
-                              const CampaignResult& result) {
-    ShardResult shard;
-    shard.fingerprint =
-        checkpoint_fingerprint(campaign_canonical(netlist, config));
-    shard.shard_index = static_cast<std::uint32_t>(config.shard_index);
-    shard.shard_count = static_cast<std::uint32_t>(
-        std::max<std::size_t>(config.shard_count, 1));
-    shard.population = config.population;
-    shard.range_begin = result.range_begin;
-    shard.range_end = result.range_end;
-    shard.early_fail_years = config.aggregate.early_fail_years;
-    const Json report = result.to_json(config);
-    if (const Json* campaign = report.find("campaign")) {
-        shard.campaign = *campaign;
-    }
-    if (const Json* aggregate = report.find("aggregate")) {
-        shard.aggregate = *aggregate;
-    }
-    shard.outcomes = result.outcomes;
-    const auto take_sketch = [&](const char* key, QuantileSketch* into) {
-        const Json* block = result.telemetry.find(key);
-        const Json* raw = block ? block->find("sketch") : nullptr;
-        if (!raw) return;
-        if (auto sketch = QuantileSketch::from_json(*raw)) {
-            *into = std::move(*sketch);
-        }
-    };
-    take_sketch("roll_latency_us", &shard.roll_latency_us);
-    take_sketch("first_alert_years", &shard.first_alert_years);
-    take_sketch("failure_years", &shard.failure_years);
-    return shard;
 }
 
 bool save_shard_result(const std::string& path, const ShardResult& shard) {
@@ -408,7 +416,7 @@ ShardMerge merge_shard_results(const std::vector<std::string>& paths) {
                 "covers " + std::to_string(shard->outcomes.size()) +
                 " of " +
                 std::to_string(shard->range_end - shard->range_begin) +
-                " devices (cancelled mid-run?)";
+                " devices (killed or cancelled mid-run?)";
         }
         if (!merged) {
             merged = std::move(*shard);
@@ -496,14 +504,8 @@ ShardMerge merge_shard_results(const std::vector<std::string>& paths) {
     merge_block.set("complete", out.complete);
     run.set("merge", std::move(merge_block));
     if (merged) {
-        Json telemetry = Json::object();
-        telemetry.set("roll_latency_us",
-                      sketch_block(merged->roll_latency_us));
-        telemetry.set("first_alert_years",
-                      sketch_block(merged->first_alert_years));
-        telemetry.set("failure_years",
-                      sketch_block(merged->failure_years));
-        run.set("telemetry", std::move(telemetry));
+        run.set("telemetry", telemetry_json(merged->roll_latency_us,
+                                            sketch_outcomes(merged->outcomes)));
     }
     run.set("status", out.status.to_json());
     report.set("run", std::move(run));

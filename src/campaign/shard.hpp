@@ -1,22 +1,28 @@
-// Shard partial-aggregate artifacts: the unit of fleet-scale merging.
+// The campaign-state artifact: one file format for a campaign's
+// completed devices, whether the run finished, was killed mid-run, or
+// is one shard of a fleet.
 //
-// A sharded fleet campaign runs `fastmon_campaign --shard i/N` once per
-// shard; each emits a ShardResult artifact holding its device range,
-// per-device outcomes, partial aggregate (confusion counts + PR curve),
-// and mergeable telemetry sketches, stamped with the campaign
-// fingerprint AND a content checksum over the canonical payload.  The
-// merge side (fastmon_merge, fastmon_fleet) validates every artifact —
-// a truncated, bit-flipped, or foreign-campaign shard is *detected and
-// reported*, never silently folded in — and re-aggregates the union of
-// outcomes in device-index order.  Because every device is a pure
-// function of (campaign seed, device index) and aggregation is a fold
-// in index order, the merged report's campaign/aggregate blocks are
-// bit-identical to a single-process run of the same campaign, at any
-// shard count.
+// run_campaign rewrites a ShardResult at its checkpoint path every N
+// devices and at exit, holding its device range, per-device outcomes,
+// partial aggregate (confusion counts + PR curve) and roll-latency
+// sketch, stamped with the campaign fingerprint AND a content checksum
+// over the canonical payload.  `--resume` reads the same file back:
+// completed devices are trusted verbatim and the rest recomputed from
+// their per-device streams, so a resumed run converges to the
+// uninterrupted one.  The merge side (fastmon_merge, fastmon_fleet)
+// validates every artifact — a truncated, bit-flipped, or
+// foreign-campaign file is *detected and reported*, never silently
+// folded in — and re-aggregates the union of outcomes in device-index
+// order.  Because every device is a pure function of (campaign seed,
+// device index) and aggregation is a fold in index order, the merged
+// report's campaign/aggregate blocks are bit-identical to a
+// single-process run of the same campaign, at any shard count; a killed
+// run's artifact merges as an honest `incomplete` shard.
 //
 // merge() itself is associative: it unions disjoint outcome sets,
-// merges the integer-bucketed sketches, and re-derives the partial
-// aggregate from the union, so ((a+b)+c) == (a+(b+c)) bit-for-bit.
+// merges the integer-bucketed latency sketches, and re-derives the
+// partial aggregate from the union, so ((a+b)+c) == (a+(b+c))
+// bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +37,34 @@
 namespace fastmon {
 
 inline constexpr std::string_view kShardSchema = "fastmon-shard-v1";
+
+/// FNV-1a over a canonical string: the campaign fingerprint (over
+/// campaign_canonical) and the artifact content checksum.
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view canonical);
+
+/// 16-hex-digit rendering of a fingerprint/checksum (JSON numbers are
+/// doubles; 64-bit values ride as strings to survive the round trip).
+[[nodiscard]] std::string fingerprint_hex(std::uint64_t fp);
+/// Inverse of fingerprint_hex; std::nullopt unless exactly 16
+/// lower-case hex digits.
+[[nodiscard]] std::optional<std::uint64_t> parse_fingerprint_hex(
+    std::string_view hex);
+
+/// First-alert (widest guard band) and failure-year distributions of a
+/// set of outcomes.  "Never" (-1) stays out, so each count is the number
+/// of devices that alerted / failed.  Pure functions of the outcomes:
+/// rebuilt from them wherever a report is written, so resumed and
+/// merged runs report exactly the uninterrupted distributions.
+struct OutcomeSketches {
+    QuantileSketch first_alert_years;
+    QuantileSketch failure_years;
+};
+[[nodiscard]] OutcomeSketches sketch_outcomes(
+    const std::vector<DeviceOutcome>& outcomes);
+
+/// The report's "run.telemetry" block: {summary, sketch} per metric.
+[[nodiscard]] Json telemetry_json(const QuantileSketch& roll_latency_us,
+                                  const OutcomeSketches& distributions);
 
 struct ShardResult {
     std::uint64_t fingerprint = 0;  ///< campaign fingerprint (config identity)
@@ -50,13 +84,15 @@ struct ShardResult {
     Json aggregate;
     /// Completed outcomes, ascending device index, all inside
     /// [range_begin, range_end).  Fewer than the range size means the
-    /// shard was cancelled mid-run (honest partial).
+    /// run has not finished: it is running, or was killed or cancelled
+    /// mid-run (an honest partial).
     std::vector<DeviceOutcome> outcomes;
-    /// Mergeable telemetry sketches (util/sketch): integer bucket
-    /// counts make their merge associative and commutative.
+    /// Per-device roll wall-clock latency of the devices the writing
+    /// process rolled itself: devices it resumed are not in it, so a
+    /// resumed run's sketch counts only the devices rolled after the
+    /// restart.  Integer bucket counts make its merge associative and
+    /// commutative.
     QuantileSketch roll_latency_us;
-    QuantileSketch first_alert_years;
-    QuantileSketch failure_years;
 
     /// True when the shard covers its whole device range.
     [[nodiscard]] bool complete() const {
@@ -73,17 +109,12 @@ struct ShardResult {
                                                 std::string* error = nullptr);
 
     /// Associative in-memory fold: unions `other`'s outcomes into this
-    /// shard (device sets must be disjoint), merges the sketches, and
-    /// re-derives the partial aggregate.  False (with `error`) on a
-    /// fingerprint/population mismatch or overlapping devices; *this
-    /// is unchanged on failure.
+    /// shard (device sets must be disjoint), merges the latency
+    /// sketches, and re-derives the partial aggregate.  False (with
+    /// `error`) on a fingerprint/population mismatch or overlapping
+    /// devices; *this is unchanged on failure.
     bool merge(const ShardResult& other, std::string* error = nullptr);
 };
-
-/// Builds the artifact for a finished (possibly partial) shard run.
-ShardResult make_shard_result(const Netlist& netlist,
-                              const CampaignConfig& config,
-                              const CampaignResult& result);
 
 /// Atomically writes the artifact.  Honors the `shard.corrupt_artifact`
 /// fault-injection point (flips one digit in the serialized payload —
@@ -98,7 +129,7 @@ std::optional<ShardResult> load_shard_result(const std::string& path,
 /// Per-shard verdict of a merge pass.
 enum class ShardState : std::uint8_t {
     Ok = 0,               ///< valid and covers its whole range
-    Incomplete,           ///< valid but cancelled mid-range (folded in)
+    Incomplete,           ///< valid but killed mid-range (folded in)
     Missing,              ///< artifact file absent
     Corrupt,              ///< unparsable, checksum/structure damage, dup
     FingerprintMismatch,  ///< belongs to a different campaign

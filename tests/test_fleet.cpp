@@ -2,8 +2,9 @@
 // requeue, quarantine, stale-claim recovery), scripted failure
 // scenarios through a fake launcher (crash, hang, corrupt artifact,
 // poison job), and real-subprocess end-to-end recovery: a
-// crash-injected / hung shard is retried from its checkpoint and the
-// merged report converges bit-identically to the single-process run.
+// crash-injected / hung shard is retried from its own incomplete
+// artifact and the merged report converges bit-identically to the
+// single-process run.
 #include "campaign/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -210,14 +211,16 @@ public:
         CampaignConfig c = base_;
         c.shard_index = spec.shard_index;
         c.shard_count = spec.shard_count;
-        c.checkpoint_path = spec.checkpoint_path;
-        c.resume = std::filesystem::exists(spec.checkpoint_path);
-        const CampaignResult result = run_campaign(nl_, c);
+        c.checkpoint_path = spec.artifact_path;
+        c.resume = true;
+        (void)run_campaign(nl_, c);
         if (act == Act::Corrupt) {
+            // Damage the final write: rewrite the finished artifact
+            // through the armed injection point.
+            const auto artifact = load_shard_result(spec.artifact_path);
             FaultInjector::global().arm("shard.corrupt_artifact");
+            if (artifact) save_shard_result(spec.artifact_path, *artifact);
         }
-        save_shard_result(spec.artifact_path,
-                          make_shard_result(nl_, c, result));
         return std::make_unique<FakeHandle>(0);
     }
 
@@ -344,7 +347,7 @@ TEST_F(FleetTest, EveryJobPoisonedFailsHonestly) {
 class FleetSubprocessTest : public FleetTest {
 protected:
     /// CLI arguments matching campaign_config() above; the launcher
-    /// appends the shard / artifact / checkpoint / heartbeat flags.
+    /// appends the shard / checkpoint / resume / heartbeat flags.
     [[nodiscard]] std::vector<std::string> campaign_args() const {
         return {"--population",       "21",  "--seed",
                 "7",                  "--defect-rate", "0.3",
@@ -375,8 +378,9 @@ protected:
 TEST_F(FleetSubprocessTest, CrashInjectedShardResumesToBitIdenticalMerge) {
     FleetQueue queue(root());
     ASSERT_TRUE(queue.init());
-    // Shard 1 of 2 owns ~10 devices; dying at its 5th device leaves a
-    // checkpoint behind (checkpoint-every 4), so the retry resumes.
+    // Shard 1 of 2 owns ~10 devices; dying at its 5th device leaves an
+    // incomplete artifact behind (checkpoint-every 4), so the retry
+    // resumes.
     enqueue_with_fault(queue, 2, 1, "shard.crash@5");
     FleetConfig config = fleet_config(2);
     config.stall_timeout_seconds = 30.0;  // only crash recovery here
@@ -392,9 +396,13 @@ TEST_F(FleetSubprocessTest, CrashInjectedShardResumesToBitIdenticalMerge) {
               std::string::npos);
     expect_bit_identical_merge(2);
 
-    // The retried shard genuinely resumed: its checkpoint held the
-    // pre-crash prefix and survives the successful second attempt.
-    EXPECT_TRUE(std::filesystem::exists(shard_checkpoint_path(root(), 1)));
+    // The retried shard genuinely resumed: the artifact's latency
+    // sketch counts only the devices the second attempt rolled, not
+    // the 4 it trusted from the pre-crash snapshot.
+    const auto artifact = load_shard_result(shard_artifact_path(root(), 1));
+    ASSERT_TRUE(artifact.has_value());
+    EXPECT_EQ(artifact->outcomes.size(), 11u);
+    EXPECT_EQ(artifact->roll_latency_us.count(), 7u);
 }
 
 TEST_F(FleetSubprocessTest, HungShardIsStallKilledAndResumes) {
@@ -435,8 +443,6 @@ TEST_F(FleetSubprocessTest, PersistentCrashIsQuarantined) {
 
 TEST(FleetPaths, AreRootedAndDistinct) {
     EXPECT_EQ(shard_artifact_path("/r", 2), "/r/shards/shard-2.json");
-    EXPECT_EQ(shard_checkpoint_path("/r", 2),
-              "/r/shards/shard-2.ckpt.json");
     EXPECT_EQ(shard_heartbeat_path("/r", 2),
               "/r/shards/shard-2.heartbeat.json");
     EXPECT_NE(shard_log_path("/r", 2, 1), shard_log_path("/r", 2, 2));

@@ -12,7 +12,6 @@
 #include <string_view>
 
 #include "campaign/campaign.hpp"
-#include "campaign/checkpoint.hpp"
 #include "netlist/iscas_data.hpp"
 #include "util/fault_inject.hpp"
 
@@ -44,14 +43,25 @@ protected:
         return c;
     }
 
-    /// Runs shard index/count and returns its artifact.
-    [[nodiscard]] ShardResult run_shard(std::size_t index,
-                                        std::size_t count) const {
-        CampaignConfig c = config();
+    /// Runs shard index/count of `c` and returns the artifact it left
+    /// at its checkpoint path.
+    [[nodiscard]] ShardResult run_shard(std::size_t index, std::size_t count,
+                                        CampaignConfig c) const {
         c.shard_index = index;
         c.shard_count = count;
-        const CampaignResult result = run_campaign(nl_, c);
-        return make_shard_result(nl_, c, result);
+        c.checkpoint_path = path("run_" + std::to_string(c.seed) + "_" +
+                                 std::to_string(index) + "_of_" +
+                                 std::to_string(count) + ".json");
+        std::filesystem::remove(c.checkpoint_path);
+        (void)run_campaign(nl_, c);
+        std::string error;
+        auto artifact = load_shard_result(c.checkpoint_path, &error);
+        EXPECT_TRUE(artifact.has_value()) << error;
+        return artifact ? std::move(*artifact) : ShardResult{};
+    }
+    [[nodiscard]] ShardResult run_shard(std::size_t index,
+                                        std::size_t count) const {
+        return run_shard(index, count, config());
     }
 
     /// Flips one digit of the payload half of the file at `p`.
@@ -97,8 +107,6 @@ TEST_F(ShardTest, ArtifactRoundTripPreservesEverything) {
     EXPECT_EQ(back->aggregate.dump(0), shard.aggregate.dump(0));
     EXPECT_EQ(back->campaign.dump(0), shard.campaign.dump(0));
     EXPECT_EQ(back->roll_latency_us, shard.roll_latency_us);
-    EXPECT_EQ(back->first_alert_years, shard.first_alert_years);
-    EXPECT_EQ(back->failure_years, shard.failure_years);
 }
 
 TEST_F(ShardTest, FileRoundTripAndMissingFile) {
@@ -124,14 +132,16 @@ TEST_F(ShardTest, ContentChecksumCatchesSingleFlippedDigit) {
 }
 
 TEST_F(ShardTest, CorruptArtifactInjectionPointDamagesTheWrite) {
+    // Armed after the run: its own checkpoint writes would trip it.
+    const ShardResult shard = run_shard(0, 2);
     FaultInjector::global().arm("shard.corrupt_artifact");
-    ASSERT_TRUE(save_shard_result(path("bad.json"), run_shard(0, 2)));
+    ASSERT_TRUE(save_shard_result(path("bad.json"), shard));
     std::string error;
     EXPECT_FALSE(load_shard_result(path("bad.json"), &error));
     EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 
     // The injection trips once: the retry writes a clean artifact.
-    ASSERT_TRUE(save_shard_result(path("good.json"), run_shard(0, 2)));
+    ASSERT_TRUE(save_shard_result(path("good.json"), shard));
     EXPECT_TRUE(load_shard_result(path("good.json"), &error)) << error;
 }
 
@@ -145,7 +155,7 @@ TEST_F(ShardTest, TamperedAggregateIsRejectedEvenWithFixedChecksum) {
     aggregate.set("failed", 9999);
     payload.set("aggregate", std::move(aggregate));
     doc.set("checksum",
-            fingerprint_hex(checkpoint_fingerprint(payload.dump(0))));
+            fingerprint_hex(fnv1a64(payload.dump(0))));
     doc.set("payload", std::move(payload));
     std::string error;
     EXPECT_FALSE(ShardResult::from_json(doc, &error));
@@ -162,8 +172,8 @@ TEST_F(ShardTest, NonIntegerCoordinatesAreRejected) {
             Json payload = *doc.find("payload");
             payload.set(key, bad);
             Json tampered = doc;
-            tampered.set("checksum", fingerprint_hex(checkpoint_fingerprint(
-                                         payload.dump(0))));
+            tampered.set("checksum",
+                         fingerprint_hex(fnv1a64(payload.dump(0))));
             tampered.set("payload", std::move(payload));
             std::string error;
             EXPECT_FALSE(ShardResult::from_json(tampered, &error))
@@ -196,6 +206,15 @@ TEST_F(ShardTest, MergedReportBitIdenticalAtShardCounts124) {
             << "shard count " << count;
         EXPECT_EQ(merged.report.find("aggregate")->dump(2), ref_aggregate)
             << "shard count " << count;
+        // The outcome distributions are rebuilt from the merged
+        // outcomes, so they match the unsharded run's exactly.
+        const Json& telemetry = *merged.report.find("run")->find("telemetry");
+        const Json& ref_telemetry = *reference.find("run")->find("telemetry");
+        for (const char* key : {"first_alert_years", "failure_years"}) {
+            EXPECT_EQ(telemetry.find(key)->find("summary")->dump(0),
+                      ref_telemetry.find(key)->find("summary")->dump(0))
+                << key << ", shard count " << count;
+        }
     }
 }
 
@@ -226,11 +245,9 @@ TEST_F(ShardTest, MergeIsAssociative) {
         EXPECT_TRUE(m->complete());
         // Sketch bucket counts are associative (sum is FP-order
         // sensitive, so compare counts and quantiles, not bits).
-        EXPECT_EQ(m->failure_years.count(), left.failure_years.count());
-        EXPECT_EQ(m->failure_years.quantile(50.0),
-                  left.failure_years.quantile(50.0));
-        EXPECT_EQ(m->first_alert_years.count(),
-                  left.first_alert_years.count());
+        EXPECT_EQ(m->roll_latency_us.count(), left.roll_latency_us.count());
+        EXPECT_EQ(m->roll_latency_us.quantile(50.0),
+                  left.roll_latency_us.quantile(50.0));
     }
 
     // Overlap is rejected and leaves the target unchanged.
@@ -253,11 +270,7 @@ TEST_F(ShardTest, MergeReportsMissingCorruptAndForeignShards) {
     {
         CampaignConfig other = config();
         other.seed = 99;  // different fingerprint
-        other.shard_index = 3;
-        other.shard_count = 4;
-        const CampaignResult r = run_campaign(nl_, other);
-        ASSERT_TRUE(
-            save_shard_result(paths[3], make_shard_result(nl_, other, r)));
+        ASSERT_TRUE(save_shard_result(paths[3], run_shard(3, 4, other)));
     }
 
     const ShardMerge merged = merge_shard_results(paths);

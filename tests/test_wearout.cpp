@@ -13,7 +13,7 @@
 #include <fstream>
 
 #include "campaign/campaign.hpp"
-#include "campaign/checkpoint.hpp"
+#include "campaign/shard.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/iscas_data.hpp"
 #include "util/diagnostic.hpp"
@@ -559,11 +559,14 @@ TEST(WearoutCampaign, ResumeAcrossPhaseCyclesIsBitIdentical) {
     const CampaignResult full = run_campaign(nl, ckpt_config);
     EXPECT_GE(full.checkpoints_written, 1u);
     std::string error;
-    auto snapshot = load_checkpoint(ckpt, &error);
+    auto snapshot = load_shard_result(ckpt, &error);
     ASSERT_TRUE(snapshot.has_value()) << error;
     ASSERT_EQ(snapshot->outcomes.size(), ckpt_config.population);
     snapshot->outcomes.resize(7);
-    ASSERT_TRUE(save_checkpoint(ckpt, *snapshot));
+    snapshot->aggregate =
+        aggregate_outcomes(snapshot->outcomes, ckpt_config.aggregate)
+            .to_json();
+    ASSERT_TRUE(save_shard_result(ckpt, *snapshot));
 
     CampaignConfig resumed_config = ckpt_config;
     resumed_config.resume = true;
@@ -684,6 +687,24 @@ TEST(WearoutCli, ListProfilesPrintsTheCatalogAndExitsClean) {
                                std::istreambuf_iterator<char>()};
         EXPECT_NE(text.find(flag), std::string::npos) << text;
     }
+    // A malformed FASTMON_HEARTBEAT is rejected the same way, naming
+    // the variable, instead of silently meaning "off".
+    SpawnOptions heartbeat_options;
+    heartbeat_options.output_path = (dir / "heartbeat.txt").string();
+    heartbeat_options.env.emplace_back("FASTMON_HEARTBEAT", "abc");
+    auto heartbeat = Subprocess::spawn(
+        {FASTMON_CAMPAIGN_BIN, "--circuit", "demo_pipeline.bench", "--quiet",
+         "--out", (dir / "hb.json").string()},
+        heartbeat_options);
+    ASSERT_TRUE(heartbeat.has_value());
+    EXPECT_EQ(heartbeat->exit_code(), 2);
+    std::ifstream heartbeat_err(heartbeat_options.output_path);
+    const std::string heartbeat_text{
+        std::istreambuf_iterator<char>(heartbeat_err),
+        std::istreambuf_iterator<char>()};
+    EXPECT_NE(heartbeat_text.find("FASTMON_HEARTBEAT"), std::string::npos)
+        << heartbeat_text;
+    EXPECT_FALSE(std::filesystem::exists(dir / "hb.heartbeat.json"));
     // fastmon_flow rejects them the same way but exits 1 (invalid
     // options), keeping 2 for a degraded run under --strict.
     SpawnOptions flow_options;

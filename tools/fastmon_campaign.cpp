@@ -12,7 +12,9 @@
 // --checkpoint/--resume.  SIGINT/SIGTERM and FASTMON_DEADLINE stop the
 // campaign at the next device boundary, snapshot the checkpoint, and
 // still emit an honest partial report (exit status stays 0, as with
-// the benches).
+// the benches).  The checkpoint is a mergeable shard artifact
+// (campaign/shard.hpp): incomplete while the run is unfinished, the
+// shard's result once it finishes.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,7 +23,6 @@
 #include <string_view>
 
 #include "campaign/campaign.hpp"
-#include "campaign/shard.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/netlist_io.hpp"
 #include "netlist/iscas_data.hpp"
@@ -69,7 +70,10 @@ void print_usage() {
         "\n"
         "execution:\n"
         "  --threads <n>            0 = shared pool, 1 = serial (default 0)\n"
-        "  --checkpoint <path>      resumable snapshot file\n"
+        "  --checkpoint <path>      campaign-state artifact, rewritten every\n"
+        "                           --checkpoint-every devices and at exit;\n"
+        "                           a mergeable shard artifact (incomplete\n"
+        "                           until the run finishes)\n"
         "  --checkpoint-every <n>   devices between snapshots (default 64)\n"
         "  --resume                 resume from --checkpoint if present\n"
         "  --batch-width <n>        live lanes per batched STA pass: a\n"
@@ -82,11 +86,9 @@ void print_usage() {
         "fleet sharding (see also fastmon_fleet / fastmon_merge):\n"
         "  --shard <i>/<n>          roll only shard i of n (0-based); the\n"
         "                           merged shard artifacts are bit-identical\n"
-        "                           to the unsharded campaign\n"
-        "  --shard-out <path>       mergeable shard artifact (default\n"
-        "                           <out-stem>.shard.json when sharded;\n"
-        "                           also usable without --shard to emit a\n"
-        "                           1-shard artifact)\n"
+        "                           to the unsharded campaign.  The shard's\n"
+        "                           artifact is its --checkpoint (default\n"
+        "                           <out-stem>.shard.json)\n"
         "\n"
         "output:\n"
         "  --out <path>             campaign report JSON (default\n"
@@ -98,9 +100,9 @@ void print_usage() {
         "  --progress               throttled one-line progress on stderr\n"
         "  --heartbeat <path>       live heartbeat sidecar, atomically\n"
         "                           rewritten every FASTMON_HEARTBEAT\n"
-        "                           seconds (default 1); setting the\n"
-        "                           FASTMON_HEARTBEAT env var alone\n"
-        "                           derives <out>.heartbeat.json\n";
+        "                           seconds (a number > 0; default 1);\n"
+        "                           setting the FASTMON_HEARTBEAT env var\n"
+        "                           alone derives <out-stem>.heartbeat.json\n";
 }
 
 struct CliOptions {
@@ -109,7 +111,6 @@ struct CliOptions {
     double scale = 1.0;
     std::string out_path = "campaign_report.json";
     std::string csv_path;
-    std::string shard_out_path;
     bool quiet = false;
     fastmon::CampaignConfig config;
 };
@@ -237,9 +238,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt) {
                 std::cerr << "error: --shard expects i/n with 0 <= i < n\n";
                 return false;
             }
-        } else if (strcmp(arg, "--shard-out") == 0) {
-            if (!(v = need_value(i))) return false;
-            opt.shard_out_path = v;
         } else if (strcmp(arg, "--out") == 0) {
             if (!(v = need_value(i))) return false;
             opt.out_path = v;
@@ -311,6 +309,17 @@ void print_summary(const fastmon::CampaignResult& result) {
     }
 }
 
+/// The report path without a trailing ".json", for derived file names.
+std::string out_stem(std::string path) {
+    const std::string_view suffix = ".json";
+    if (path.size() >= suffix.size() &&
+        path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+        path.resize(path.size() - suffix.size());
+    }
+    return path;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -318,20 +327,21 @@ int main(int argc, char** argv) {
     CliOptions opt;
     if (!parse_args(argc, argv, opt)) return 2;
 
-    // FASTMON_HEARTBEAT alone turns the sidecar on, next to the report
-    // (run_campaign reads the env var again for the interval).
-    if (opt.config.heartbeat_path.empty()) {
-        if (const char* env = std::getenv("FASTMON_HEARTBEAT");
-            env != nullptr && std::atof(env) > 0.0) {
-            std::string path = opt.out_path;
-            const std::string suffix = ".json";
-            if (path.size() >= suffix.size() &&
-                path.compare(path.size() - suffix.size(), suffix.size(),
-                             suffix) == 0) {
-                path.resize(path.size() - suffix.size());
-            }
-            opt.config.heartbeat_path = path + ".heartbeat.json";
+    // FASTMON_HEARTBEAT sets the heartbeat period, and alone turns the
+    // sidecar on next to the report.
+    if (const char* env = std::getenv("FASTMON_HEARTBEAT")) {
+        if (!parse_real_flag("FASTMON_HEARTBEAT", env,
+                             opt.config.heartbeat_seconds, kPositive)) {
+            return 2;
         }
+        if (opt.config.heartbeat_path.empty()) {
+            opt.config.heartbeat_path =
+                out_stem(opt.out_path) + ".heartbeat.json";
+        }
+    }
+    // A shard's mergeable artifact is its checkpoint.
+    if (opt.config.shard_count > 1 && opt.config.checkpoint_path.empty()) {
+        opt.config.checkpoint_path = out_stem(opt.out_path) + ".shard.json";
     }
 
     CancelToken::global().install_signal_handlers();
@@ -358,28 +368,6 @@ int main(int argc, char** argv) {
         !atomic_write_file(opt.csv_path, outcomes_csv(result.outcomes))) {
         std::cerr << "error: cannot write " << opt.csv_path << "\n";
         return 1;
-    }
-
-    // Mergeable shard artifact: always when sharded, on request for an
-    // unsharded run (a 1-shard artifact merges to the same report).
-    if (opt.config.shard_count > 1 || !opt.shard_out_path.empty()) {
-        std::string shard_path = opt.shard_out_path;
-        if (shard_path.empty()) {
-            shard_path = opt.out_path;
-            const std::string suffix = ".json";
-            if (shard_path.size() >= suffix.size() &&
-                shard_path.compare(shard_path.size() - suffix.size(),
-                                   suffix.size(), suffix) == 0) {
-                shard_path.resize(shard_path.size() - suffix.size());
-            }
-            shard_path += ".shard.json";
-        }
-        const ShardResult shard =
-            make_shard_result(netlist, opt.config, result);
-        if (!save_shard_result(shard_path, shard)) {
-            std::cerr << "error: cannot write " << shard_path << "\n";
-            return 1;
-        }
     }
 
     if (!opt.quiet) {

@@ -4,8 +4,8 @@
 // as a `fastmon_campaign --shard i/N` subprocess (at-least-once: claims
 // are atomic renames, so a crashed supervisor can be restarted with
 // --recover and nothing is lost), retries crashed / hung / corrupt
-// shards with bounded exponential backoff — retried shards resume from
-// their own checkpoints — and quarantines poison jobs after
+// shards with bounded exponential backoff — a retried shard resumes
+// from its own incomplete artifact — and quarantines poison jobs after
 // --max-attempts.  When the queue drains it validates and merges the
 // shard artifacts into a campaign report that is bit-identical to a
 // single-process run whenever every shard completed.

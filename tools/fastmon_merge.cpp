@@ -1,11 +1,14 @@
 // fastmon_merge — validate and merge shard campaign artifacts.
 //
-// Takes the per-shard artifacts a fleet run produced (`fastmon_campaign
-// --shard i/N --shard-out ...`), validates each one (schema, content
-// checksum, campaign fingerprint, device-range coverage, aggregate
-// cross-check), and folds the survivors into one campaign report whose
+// Takes the per-shard artifacts a fleet run produced (each
+// `fastmon_campaign --shard i/N` run's --checkpoint file, default
+// <out-stem>.shard.json), validates each one (schema, content checksum,
+// campaign fingerprint, device-range coverage, aggregate cross-check),
+// and folds the survivors into one campaign report whose
 // campaign/aggregate blocks are bit-identical to a single-process run
-// of the same campaign.  Damage is never fatal: a missing, corrupt, or
+// of the same campaign.  Any campaign's checkpoint is such an artifact,
+// so a killed run's checkpoint merges directly as an `incomplete`
+// shard.  Damage is never fatal: a missing, corrupt, or
 // foreign shard is reported per shard, the merge degrades honestly
 // (run.merge + run.status say exactly what is covered), and the exit
 // status stays 0 as long as anything at all could be merged —
