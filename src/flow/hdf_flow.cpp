@@ -580,6 +580,9 @@ HdfFlowResult HdfFlow::run() {
     PatternConfigOptions pco;
     pco.method = SelectMethod::BranchAndBound;
     pco.solver = config_.solver;
+    // The full schedule and the Table III rows mostly share periods and
+    // their fault shares: each distinct instance is solved once.
+    PatternConfigMemo pc_memo;
 
     // --- Table II: pattern x config selection at full coverage ---
     if (freq_ok) {
@@ -591,7 +594,7 @@ HdfFlowResult HdfFlow::run() {
             }
             const auto entries = entries_for(sel_prop.periods);
             const PatternConfigResult pc = select_pattern_configs(
-                entries, sel_prop.periods, all_targets, pco);
+                entries, sel_prop.periods, all_targets, pco, &pc_memo);
             res.orig_pc =
                 test_set_.size() * num_configs * sel_prop.periods.size();
             res.opti_pc = pc.schedule.size();
@@ -630,7 +633,7 @@ HdfFlowResult HdfFlow::run() {
                 }
                 const auto entries = entries_for(sel.periods);
                 const PatternConfigResult pc = select_pattern_configs(
-                    entries, sel.periods, cov_targets, pco);
+                    entries, sel.periods, cov_targets, pco, &pc_memo);
                 row.schedule_size = pc.schedule.size();
                 row.reduction_percent = schedule_reduction_percent(
                     row.schedule_size, row.naive_pc);

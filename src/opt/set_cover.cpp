@@ -1,11 +1,13 @@
 #include "opt/set_cover.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <span>
 
 #include "util/cancel.hpp"
 #include "util/fault_inject.hpp"
@@ -29,13 +31,64 @@ std::uint64_t coverage_target(const SetCoverInstance& inst, double coverage) {
     return static_cast<std::uint64_t>(std::ceil(t - 1e-9));
 }
 
+/// The sets as rows of one bitset over the elements, so covering
+/// arithmetic runs 64 elements at a time.  A row keeps only its nonzero
+/// words, in ascending word order: a sparse set costs a few words, a
+/// dense one its full width.
+struct SetRows {
+    struct Word {
+        std::uint32_t index;  ///< word of the bitset
+        std::uint64_t bits;
+    };
+    std::size_t words;                 ///< bitset width, ceil(elements / 64)
+    std::vector<Word> nonzero;         ///< all rows, back to back
+    std::vector<std::size_t> offset;   ///< row s: [offset[s], offset[s + 1])
+
+    /// `sets` lists sorted, unique element ids.
+    SetRows(std::uint32_t num_elements,
+            const std::vector<std::vector<std::uint32_t>>& sets)
+        : words((num_elements + 63) / 64) {
+        offset.reserve(sets.size() + 1);
+        offset.push_back(0);
+        for (const std::vector<std::uint32_t>& set : sets) {
+            for (std::uint32_t e : set) {
+                const std::uint64_t bit = std::uint64_t{1} << (e % 64);
+                if (nonzero.size() > offset.back() &&
+                    nonzero.back().index == e / 64) {
+                    nonzero.back().bits |= bit;
+                } else {
+                    nonzero.push_back({e / 64, bit});
+                }
+            }
+            offset.push_back(nonzero.size());
+        }
+    }
+    [[nodiscard]] std::span<const Word> row(std::size_t s) const {
+        return {nonzero.data() + offset[s], offset[s + 1] - offset[s]};
+    }
+};
+
+/// Weight of the elements in `bits`, word `word` of a bitset.
+std::uint64_t weight_of_bits(const SetCoverInstance& inst, std::size_t word,
+                             std::uint64_t bits) {
+    if (inst.element_weight.empty()) {
+        return static_cast<std::uint64_t>(std::popcount(bits));
+    }
+    std::uint64_t w = 0;
+    for (; bits != 0; bits &= bits - 1) {
+        w += inst.element_weight[word * 64 + std::countr_zero(bits)];
+    }
+    return w;
+}
+
 }  // namespace
 
 SetCoverResult greedy_set_cover(const SetCoverInstance& instance,
                                 const SetCoverOptions& options) {
     SetCoverResult result;
     const std::uint64_t target = coverage_target(instance, options.coverage);
-    std::vector<bool> covered(instance.num_elements, false);
+    const SetRows rows(instance.num_elements, instance.sets);
+    std::vector<std::uint64_t> covered(rows.words, 0);
     std::vector<bool> used(instance.sets.size(), false);
     std::uint64_t covered_weight = 0;
 
@@ -45,8 +98,9 @@ SetCoverResult greedy_set_cover(const SetCoverInstance& instance,
         for (std::size_t s = 0; s < instance.sets.size(); ++s) {
             if (used[s]) continue;
             std::uint64_t gain = 0;
-            for (std::uint32_t e : instance.sets[s]) {
-                if (!covered[e]) gain += instance.weight_of(e);
+            for (const SetRows::Word& w : rows.row(s)) {
+                gain += weight_of_bits(instance, w.index,
+                                       w.bits & ~covered[w.index]);
             }
             if (gain > best_gain) {
                 best_gain = gain;
@@ -56,11 +110,10 @@ SetCoverResult greedy_set_cover(const SetCoverInstance& instance,
         if (best == SIZE_MAX) break;  // nothing improves coverage
         used[best] = true;
         result.chosen.push_back(static_cast<std::uint32_t>(best));
-        for (std::uint32_t e : instance.sets[best]) {
-            if (!covered[e]) {
-                covered[e] = true;
-                covered_weight += instance.weight_of(e);
-            }
+        for (const SetRows::Word& w : rows.row(best)) {
+            covered_weight += weight_of_bits(instance, w.index,
+                                             w.bits & ~covered[w.index]);
+            covered[w.index] |= w.bits;
         }
     }
     std::sort(result.chosen.begin(), result.chosen.end());
@@ -173,6 +226,20 @@ Reduced preprocess(const SetCoverInstance& instance, bool full_cover) {
         alive = std::move(kept);
     }
     if (alive.size() <= 768) {
+        const SetRows rows(static_cast<std::uint32_t>(new_weight.size()),
+                           new_sets);
+        const auto includes = [&rows](std::uint32_t a, std::uint32_t b) {
+            const std::span<const SetRows::Word> ra = rows.row(a);
+            auto wa = ra.begin();
+            for (const SetRows::Word& wb : rows.row(b)) {
+                while (wa != ra.end() && wa->index < wb.index) ++wa;
+                if (wa == ra.end() || wa->index != wb.index ||
+                    (wb.bits & ~wa->bits) != 0) {
+                    return false;
+                }
+            }
+            return true;
+        };
         std::vector<bool> dominated(new_sets.size(), false);
         for (std::uint32_t a : alive) {
             for (std::uint32_t b : alive) {
@@ -181,10 +248,7 @@ Reduced preprocess(const SetCoverInstance& instance, bool full_cover) {
                     (new_sets[a].size() == new_sets[b].size() && a > b)) {
                     continue;
                 }
-                if (std::includes(new_sets[a].begin(), new_sets[a].end(),
-                                  new_sets[b].begin(), new_sets[b].end())) {
-                    dominated[b] = true;
-                }
+                if (includes(a, b)) dominated[b] = true;
             }
         }
         std::erase_if(alive,
@@ -192,7 +256,11 @@ Reduced preprocess(const SetCoverInstance& instance, bool full_cover) {
     }
 
     red.inst.num_elements = static_cast<std::uint32_t>(new_weight.size());
-    red.inst.element_weight = std::move(new_weight);
+    // Unit weights stay implicit, so the bitset kernels can popcount.
+    if (std::any_of(new_weight.begin(), new_weight.end(),
+                    [](std::uint32_t w) { return w != 1; })) {
+        red.inst.element_weight = std::move(new_weight);
+    }
     for (std::uint32_t s : alive) {
         red.set_map.push_back(s);
         red.inst.sets.push_back(std::move(new_sets[s]));
@@ -200,15 +268,29 @@ Reduced preprocess(const SetCoverInstance& instance, bool full_cover) {
     return red;
 }
 
-/// Exact branch and bound on a (preprocessed) instance.
+/// Exact branch and bound on a (preprocessed) instance.  The covered
+/// set is a bitset and every set is a row of the same width, so a node
+/// applies or undoes a set one 64-element word at a time.
 struct CoverSearch {
+    /// Search state to restore after a branch: the trail length and the
+    /// covered weight before the set was applied.
+    struct Mark {
+        std::size_t trail_size;
+        std::uint64_t covered_weight;
+    };
+
     const SetCoverInstance& inst;
     std::uint64_t target;
     Clock::time_point deadline;
     std::size_t max_nodes;
 
+    SetRows rows;
+    std::vector<std::uint64_t> covered;  ///< one bit per element
+    /// The covered bits each apply() newly set, so unapply() can clear
+    /// exactly those again.
+    std::vector<SetRows::Word> trail;
+    /// element -> covering sets, largest static weight first.
     std::vector<std::vector<std::uint32_t>> cover_by;
-    std::vector<bool> covered;
     std::vector<bool> chosen;
     std::vector<std::uint64_t> set_weight;  // static total weight per set
     std::uint64_t covered_weight = 0;
@@ -216,7 +298,7 @@ struct CoverSearch {
 
     std::size_t best_count = SIZE_MAX;
     std::vector<bool> best_chosen;
-    /// No cover has fewer sets; the full-cover DFS stops once the
+    /// No cover has fewer sets; both DFS variants stop once the
     /// incumbent meets it.
     std::size_t root_bound = 0;
     std::size_t nodes = 0;
@@ -225,7 +307,7 @@ struct CoverSearch {
 
     CoverSearch(const SetCoverInstance& instance, std::uint64_t tgt,
                 const SetCoverOptions& options)
-        : inst(instance), target(tgt) {
+        : inst(instance), target(tgt), rows(inst.num_elements, inst.sets) {
         deadline = Clock::now() +
                    std::chrono::duration_cast<Clock::duration>(
                        std::chrono::duration<double>(options.time_limit_sec));
@@ -240,13 +322,24 @@ struct CoverSearch {
             set_weight.push_back(w);
             max_set_weight = std::max(max_set_weight, std::max<std::uint64_t>(w, 1));
         }
-        covered.assign(inst.num_elements, false);
+        for (std::vector<std::uint32_t>& sets : cover_by) {
+            std::sort(sets.begin(), sets.end(),
+                      [this](std::uint32_t a, std::uint32_t b) {
+                          return set_weight[a] > set_weight[b];
+                      });
+        }
+        covered.assign(rows.words, 0);
+        // The bits newly covered along one DFS path are disjoint, so the
+        // trail never holds more entries than there are elements.
+        trail.reserve(inst.num_elements);
         chosen.assign(inst.sets.size(), false);
     }
 
+    /// Node budget and cancellation at every node; the clock only every
+    /// 64 nodes (the first node included).
     [[nodiscard]] bool out_of_budget() {
-        if (nodes > max_nodes || Clock::now() > deadline ||
-            CancelToken::global().cancelled()) {
+        if (nodes > max_nodes || CancelToken::global().cancelled() ||
+            ((nodes & 63) == 1 && Clock::now() > deadline)) {
             // A cancellation request counts as budget exhaustion: the
             // search unwinds and the caller keeps the greedy incumbent.
             exhausted = true;
@@ -262,27 +355,28 @@ struct CoverSearch {
         for (std::uint32_t s : greedy.chosen) best_chosen[s] = true;
     }
 
-    std::vector<std::uint32_t> apply(std::uint32_t s) {
-        std::vector<std::uint32_t> newly;
+    Mark apply(std::uint32_t s) {
+        const Mark mark{trail.size(), covered_weight};
         chosen[s] = true;
         ++chosen_count;
-        for (std::uint32_t e : inst.sets[s]) {
-            if (!covered[e]) {
-                covered[e] = true;
-                covered_weight += inst.weight_of(e);
-                newly.push_back(e);
-            }
+        for (const SetRows::Word& w : rows.row(s)) {
+            const std::uint64_t fresh = w.bits & ~covered[w.index];
+            if (fresh == 0) continue;
+            covered[w.index] |= fresh;
+            covered_weight += weight_of_bits(inst, w.index, fresh);
+            trail.push_back({w.index, fresh});
         }
-        return newly;
+        return mark;
     }
 
-    void unapply(std::uint32_t s, const std::vector<std::uint32_t>& newly) {
+    void unapply(std::uint32_t s, const Mark& mark) {
         chosen[s] = false;
         --chosen_count;
-        for (std::uint32_t e : newly) {
-            covered[e] = false;
-            covered_weight -= inst.weight_of(e);
+        while (trail.size() > mark.trail_size) {
+            covered[trail.back().index] &= ~trail.back().bits;
+            trail.pop_back();
         }
+        covered_weight = mark.covered_weight;
     }
 
     void record() {
@@ -345,28 +439,31 @@ struct CoverSearch {
                                (remaining + max_set_weight - 1) / max_set_weight);
         if (lb >= best_count) return;
 
-        // Branch on the uncovered element with the fewest covering sets.
+        // Branch on the uncovered element with the fewest covering sets
+        // (the lowest such element on ties).
         std::uint32_t pick = UINT32_MAX;
         std::size_t pick_degree = SIZE_MAX;
-        for (std::uint32_t e = 0; e < inst.num_elements; ++e) {
-            if (covered[e]) continue;
-            if (cover_by[e].size() < pick_degree) {
-                pick_degree = cover_by[e].size();
-                pick = e;
+        for (std::uint32_t w = 0; w < rows.words; ++w) {
+            std::uint64_t open = ~covered[w];
+            if (w + 1 == rows.words && inst.num_elements % 64 != 0) {
+                open &= (std::uint64_t{1} << (inst.num_elements % 64)) - 1;
+            }
+            for (; open != 0; open &= open - 1) {
+                const auto e = static_cast<std::uint32_t>(
+                    w * 64 + std::countr_zero(open));
+                if (cover_by[e].size() < pick_degree) {
+                    pick_degree = cover_by[e].size();
+                    pick = e;
+                }
             }
         }
         if (pick == UINT32_MAX) return;
-        // Try covering sets, largest static weight first.
-        std::vector<std::uint32_t> order = cover_by[pick];
-        std::sort(order.begin(), order.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      return set_weight[a] > set_weight[b];
-                  });
-        for (std::uint32_t s : order) {
-            if (chosen[s]) continue;
-            const auto newly = apply(s);
+        // An uncovered element lies in no chosen set, so every covering
+        // set is a candidate.
+        for (std::uint32_t s : cover_by[pick]) {
+            const Mark mark = apply(s);
             dfs_full();
-            unapply(s, newly);
+            unapply(s, mark);
             if (exhausted || best_count <= root_bound) return;
         }
     }
@@ -386,12 +483,12 @@ struct CoverSearch {
 
         // Include.
         const std::uint32_t s = order[idx];
-        const auto newly = apply(s);
+        const Mark mark = apply(s);
         if (chosen_count < best_count) {
             dfs_partial(idx + 1, order);
         }
-        unapply(s, newly);
-        if (exhausted) return;
+        unapply(s, mark);
+        if (exhausted || best_count <= root_bound) return;
         // Exclude.
         dfs_partial(idx + 1, order);
     }
@@ -440,7 +537,9 @@ SetCoverResult solve_set_cover_impl(const SetCoverInstance& instance,
                           return search.set_weight[a] > search.set_weight[b];
                       });
             search.root_bound = search.weight_bound(0, order);
-            search.dfs_partial(0, order);
+            if (search.best_count > search.root_bound) {
+                search.dfs_partial(0, order);
+            }
         }
     } else {
         search.best_count = 0;

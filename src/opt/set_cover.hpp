@@ -12,6 +12,16 @@
 // soon as the incumbent meets it and reports the gap when the budget
 // runs out.  The tests cross-check both against brute-force
 // enumeration.
+//
+// The greedy heuristic, the dominance test and the search are
+// word-parallel: the covered set is a uint64_t bitset, and every set a
+// row of its nonzero words (16 bytes each with the word index), at most
+// sets x ceil(elements / 64) of them.  The largest perfbench instance,
+// 1985 elements x 1245 sets, has 23k such words (0.36 MB); the search
+// adds an undo trail of at most one entry per element.  The node budget
+// and cancellation are checked at every node, the clock at the first
+// node and every 64th, so `time_limit_sec` can overrun by up to 63
+// nodes (microseconds).
 #pragma once
 
 #include <cstdint>

@@ -10,7 +10,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fault/detection_range.hpp"
@@ -36,12 +38,33 @@ struct PatternConfigResult {
     std::size_t lower_bound = 0;
 };
 
+/// Solved per-period instances, shared by the calls of one flow.  A
+/// period's instance depends only on the period's value and its sorted
+/// fault share, so calls whose period selections share a period and its
+/// share reuse the solve.  Valid only across calls on one detection
+/// table (same entries per period value) with the same options.
+struct PatternConfigMemo {
+    struct Solved {
+        /// The cover's (pattern, configuration) pairs, in solver order.
+        std::vector<std::pair<std::uint32_t, std::uint16_t>> chosen;
+        bool proven_optimal = false;
+        /// This period's term of PatternConfigResult::lower_bound.
+        std::size_t lower_bound = 0;
+        /// Share faults the cover leaves uncovered.
+        std::vector<std::uint32_t> uncovered;
+    };
+    std::map<std::pair<Time, std::vector<std::uint32_t>>, Solved> solved;
+};
+
 /// `entries` is the pass-B detection table over `periods` (period
 /// indices in the entries refer to positions in `periods`);
-/// `target_faults` lists the fault indices that must be covered.
+/// `target_faults` lists the fault indices that must be covered.  With
+/// a `memo`, a period instance solved by an earlier call is not solved
+/// again (counted as `schedule.pattern_config.reused`); the result is
+/// the same as without it.
 PatternConfigResult select_pattern_configs(
     std::span<const DetectionEntry> entries, std::span<const Time> periods,
     std::span<const std::uint32_t> target_faults,
-    const PatternConfigOptions& options);
+    const PatternConfigOptions& options, PatternConfigMemo* memo = nullptr);
 
 }  // namespace fastmon

@@ -8,7 +8,9 @@
 #include "monitor/shifting.hpp"
 #include "netlist/generator.hpp"
 #include "netlist/iscas_data.hpp"
+#include "schedule/schedule.hpp"
 #include "schedule/validate.hpp"
+#include "util/metrics.hpp"
 
 namespace fastmon {
 namespace {
@@ -144,6 +146,119 @@ TEST(Integration, ScheduleValidatesAgainstDetectionTable) {
         validate_schedule(pc.schedule, entries, all_targets);
     EXPECT_TRUE(v.valid) << v.uncovered_faults.size() << " faults uncovered";
     EXPECT_EQ(v.covered, all_targets.size());
+}
+
+// The flow solves each distinct (period, fault share) instance once: its
+// full schedule and Table III rows equal fresh, memo-less selections on
+// the same detection table.
+TEST(HdfFlow, PatternConfigMemoMatchesFreshSolves) {
+    GeneratorConfig gc;
+    gc.name = "memo";
+    gc.n_gates = 450;
+    gc.n_ffs = 50;
+    gc.n_inputs = 12;
+    gc.n_outputs = 12;
+    gc.depth = 14;
+    gc.spread = 0.8;
+    gc.seed = 323;
+    const Netlist nl = generate_circuit(gc);
+    const HdfFlowConfig config = quick_config(323);
+    MetricsRegistry& reg = MetricsRegistry::global();
+    reg.reset();
+    HdfFlow flow(nl, config);
+    const HdfFlowResult r = flow.run();
+    ASSERT_TRUE(r.status.complete());
+    EXPECT_GT(reg.counter("schedule.pattern_config.reused").value(), 0u);
+
+    // Rebuild the flow's period selections and pass-B table.
+    std::vector<IntervalSet> target_ranges;
+    std::vector<DelayFault> target_faults;
+    std::vector<FaultRanges> target_fault_ranges;
+    for (std::uint32_t pos : flow.target_positions()) {
+        target_ranges.push_back(flow.full_range_in_window(pos));
+        target_faults.push_back(
+            flow.universe().fault(flow.simulated_faults()[pos]));
+        target_fault_ranges.push_back(flow.ranges()[pos]);
+    }
+    FrequencySelectOptions fopts;
+    fopts.discretize = config.discretize;
+    fopts.solver = config.solver;
+    const FrequencySelection sel_prop =
+        select_frequencies(target_ranges, fopts);
+    std::vector<FrequencySelection> cov_selections;
+    std::vector<Time> all_periods = sel_prop.periods;
+    for (double cov : config.coverage_targets) {
+        FrequencySelectOptions copts = fopts;
+        copts.coverage = cov;
+        cov_selections.push_back(select_frequencies(target_ranges, copts));
+        all_periods.insert(all_periods.end(),
+                           cov_selections.back().periods.begin(),
+                           cov_selections.back().periods.end());
+    }
+    std::sort(all_periods.begin(), all_periods.end());
+    all_periods.erase(std::unique(all_periods.begin(), all_periods.end(),
+                                  [](Time a, Time b) {
+                                      return std::abs(a - b) <= kTimeEps;
+                                  }),
+                      all_periods.end());
+    const WaveSim wave_sim(nl, flow.delays(), config.wave);
+    DetectionAnalysisConfig dac;
+    dac.glitch_threshold = flow.delays().glitch_threshold();
+    dac.horizon = flow.sta().clock_period * 1.02;
+    const DetectionAnalyzer analyzer(wave_sim, flow.patterns().patterns,
+                                     flow.placement().monitored, dac);
+    const std::vector<DetectionEntry> all_entries = analyzer.detection_table(
+        target_faults, target_fault_ranges, all_periods,
+        flow.placement().config_delays);
+    const auto entries_for = [&](std::span<const Time> periods) {
+        std::vector<DetectionEntry> out;
+        for (DetectionEntry e : all_entries) {
+            const auto it = std::find_if(
+                periods.begin(), periods.end(), [&](Time t) {
+                    return std::abs(t - all_periods[e.period]) <= kTimeEps;
+                });
+            if (it == periods.end()) continue;
+            e.period = static_cast<std::uint16_t>(it - periods.begin());
+            out.push_back(e);
+        }
+        return out;
+    };
+
+    PatternConfigOptions pco;
+    pco.solver = config.solver;
+    std::vector<std::uint32_t> all_targets(target_faults.size());
+    for (std::uint32_t i = 0; i < all_targets.size(); ++i) all_targets[i] = i;
+    const PatternConfigResult full = select_pattern_configs(
+        entries_for(sel_prop.periods), sel_prop.periods, all_targets, pco);
+    EXPECT_EQ(r.opti_pc, full.schedule.size());
+    EXPECT_EQ(r.schedule_lower_bound, full.lower_bound);
+    EXPECT_EQ(r.schedule_uncovered, full.uncovered_faults.size());
+
+    ASSERT_EQ(r.coverage_rows.size(), cov_selections.size());
+    for (std::size_t k = 0; k < cov_selections.size(); ++k) {
+        const FrequencySelection& sel = cov_selections[k];
+        std::vector<std::uint32_t> cov_targets;
+        for (const auto& covered : sel.covered) {
+            cov_targets.insert(cov_targets.end(), covered.begin(),
+                               covered.end());
+        }
+        std::sort(cov_targets.begin(), cov_targets.end());
+        cov_targets.erase(std::unique(cov_targets.begin(), cov_targets.end()),
+                          cov_targets.end());
+        const PatternConfigResult row = select_pattern_configs(
+            entries_for(sel.periods), sel.periods, cov_targets, pco);
+        CoverageRow expected;
+        expected.coverage = config.coverage_targets[k];
+        expected.num_frequencies = sel.periods.size();
+        expected.naive_pc = flow.patterns().size() *
+                            flow.placement().config_delays.size() *
+                            sel.periods.size();
+        expected.schedule_size = row.schedule.size();
+        expected.reduction_percent = schedule_reduction_percent(
+            expected.schedule_size, expected.naive_pc);
+        EXPECT_EQ(r.coverage_rows[k], expected)
+            << "coverage " << expected.coverage;
+    }
 }
 
 // The aggregated pass-A range equals the union of per-(pattern) ranges

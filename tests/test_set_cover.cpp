@@ -279,6 +279,172 @@ TEST(SetCover, TightPackingProvesOptimumWithinBudget) {
     EXPECT_LT(r.nodes_explored, opt.max_nodes);
 }
 
+TEST(SetCover, PartialCoverStopsAtItsRootBound) {
+    // Target ceil(0.75 * 8) = 6.  Greedy takes {0..3} then {4,5}; the two
+    // largest static weights (4 + 2) are the root bound, so greedy is
+    // optimal and the search never starts.
+    const SetCoverInstance inst =
+        make_instance(8, {{0, 1, 2, 3}, {4, 5}, {6}, {7}, {3, 4}});
+    SetCoverOptions opt;
+    opt.coverage = 0.75;
+    const SetCoverResult r = solve_set_cover(inst, opt);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_EQ(r.chosen, (std::vector<std::uint32_t>{0, 1}));
+    EXPECT_EQ(r.lower_bound, 2u);
+    EXPECT_EQ(r.nodes_explored, 0u);
+    EXPECT_TRUE(r.proven_optimal);
+}
+
+/// Seeded instance for the kernel pins: element e lies in set
+/// e % n_sets and in `memberships` random sets; with `runs`, every set
+/// also takes a run of consecutive elements (the nested, overlapping
+/// shape of detection ranges, which merges many elements).
+SetCoverInstance kernel_instance(std::uint64_t seed, std::uint32_t n_elems,
+                                 std::uint32_t n_sets,
+                                 std::uint32_t memberships, bool runs,
+                                 bool weighted) {
+    Prng rng(seed);
+    SetCoverInstance inst;
+    inst.num_elements = n_elems;
+    inst.sets.resize(n_sets);
+    if (weighted) inst.element_weight.resize(n_elems);
+    for (std::uint32_t e = 0; e < n_elems; ++e) {
+        if (weighted) {
+            inst.element_weight[e] =
+                1 + static_cast<std::uint32_t>(rng.next_below(5));
+        }
+        inst.sets[e % n_sets].push_back(e);
+        for (std::uint32_t k = 0; k < memberships; ++k) {
+            inst.sets[rng.next_below(n_sets)].push_back(e);
+        }
+    }
+    for (std::uint32_t s = 0; runs && s < n_sets; ++s) {
+        const auto lo = static_cast<std::uint32_t>(rng.next_below(n_elems));
+        const auto len =
+            static_cast<std::uint32_t>(rng.next_below(n_elems / 4 + 1));
+        for (std::uint32_t e = lo; e < std::min(n_elems, lo + len); ++e) {
+            inst.sets[s].push_back(e);
+        }
+    }
+    for (auto& s : inst.sets) {
+        std::sort(s.begin(), s.end());
+        s.erase(std::unique(s.begin(), s.end()), s.end());
+    }
+    return inst;
+}
+
+/// FNV-1a over the chosen set indices.
+std::uint64_t chosen_hash(const std::vector<std::uint32_t>& chosen) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::uint32_t s : chosen) {
+        h ^= s;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+struct PinnedSolve {
+    std::uint32_t elements;
+    std::uint32_t sets;
+    std::uint32_t memberships;
+    bool runs;
+    bool weighted;
+    double coverage;
+    std::size_t max_nodes;
+    // The search's result, pinned from the element-list search the
+    // bitset kernel replaced.
+    std::size_t chosen_size;
+    std::uint64_t chosen_hash;
+    std::size_t nodes;
+    bool proven_optimal;
+    std::size_t lower_bound;
+};
+
+// 63/64/65 elements straddle one bitset word, 130 spans three and 700
+// eleven; the weighted and run-merged instances take the ctz weight
+// walk, the others the popcount.  Budget 300 binds on most instances,
+// 20000 on few.
+constexpr PinnedSolve kPinnedSolves[] = {
+    {63, 24, 2, false, false, 0.90, 300, 9, 0xf4278b8426256cd2ULL, 301, false, 6},
+    {63, 24, 2, false, false, 0.90, 20000, 8, 0xbf6ed84d93cb07ceULL, 7315, true, 6},
+    {63, 24, 2, false, false, 0.95, 300, 10, 0xe5a516a835aa2bd4ULL, 301, false, 6},
+    {63, 24, 2, false, false, 0.95, 20000, 9, 0xad300fc95af39790ULL, 20001, false, 6},
+    {63, 24, 2, false, false, 0.99, 300, 11, 0x17ce1cd9cd18c087ULL, 301, false, 7},
+    {63, 24, 2, false, false, 0.99, 20000, 11, 0x17ce1cd9cd18c087ULL, 20001, false, 7},
+    {63, 24, 2, false, false, 1.00, 300, 11, 0x17ce1cd9cd18c087ULL, 301, false, 8},
+    {63, 24, 2, false, false, 1.00, 20000, 11, 0x17ce1cd9cd18c087ULL, 2750, true, 8},
+    {64, 20, 1, true, true, 0.90, 300, 4, 0x28bbcea081c8aad4ULL, 13, true, 3},
+    {64, 20, 1, true, true, 0.90, 20000, 4, 0x28bbcea081c8aad4ULL, 13, true, 3},
+    {64, 20, 1, true, true, 0.95, 300, 4, 0x28bbcea081c8aad4ULL, 1, true, 4},
+    {64, 20, 1, true, true, 0.95, 20000, 4, 0x28bbcea081c8aad4ULL, 1, true, 4},
+    {64, 20, 1, true, true, 0.99, 300, 6, 0x7af92f41e47b3380ULL, 301, false, 4},
+    {64, 20, 1, true, true, 0.99, 20000, 6, 0x7af92f41e47b3380ULL, 1979, true, 4},
+    {64, 20, 1, true, true, 1.00, 300, 6, 0x7af92f41e47b3380ULL, 51, true, 4},
+    {64, 20, 1, true, true, 1.00, 20000, 6, 0x7af92f41e47b3380ULL, 51, true, 4},
+    {65, 24, 2, false, false, 0.90, 300, 9, 0xb5d4cc530fdea532ULL, 301, false, 6},
+    {65, 24, 2, false, false, 0.90, 20000, 8, 0xd8b56e788eed9bfeULL, 3307, true, 6},
+    {65, 24, 2, false, false, 0.95, 300, 10, 0xd78de523f797e804ULL, 301, false, 6},
+    {65, 24, 2, false, false, 0.95, 20000, 9, 0x106b55dacf75ae19ULL, 16239, true, 6},
+    {65, 24, 2, false, false, 0.99, 300, 12, 0xc2c79e1361fd5460ULL, 301, false, 7},
+    {65, 24, 2, false, false, 0.99, 20000, 11, 0x995eef7c5dd0f131ULL, 20001, false, 7},
+    {65, 24, 2, false, false, 1.00, 300, 11, 0x685ef42fec8f32a4ULL, 301, false, 7},
+    {65, 24, 2, false, false, 1.00, 20000, 11, 0x685ef42fec8f32a4ULL, 8372, true, 7},
+    {130, 24, 1, true, true, 0.90, 300, 6, 0x00b5557502a10a7cULL, 301, false, 4},
+    {130, 24, 1, true, true, 0.90, 20000, 6, 0x00b5557502a10a7cULL, 3903, true, 4},
+    {130, 24, 1, true, true, 0.95, 300, 7, 0x5c21c9caa65959abULL, 301, false, 4},
+    {130, 24, 1, true, true, 0.95, 20000, 7, 0x5c21c9caa65959abULL, 20001, false, 4},
+    {130, 24, 1, true, true, 0.99, 300, 9, 0xb7ebf91b6c46680eULL, 301, false, 4},
+    {130, 24, 1, true, true, 0.99, 20000, 9, 0xb7ebf91b6c46680eULL, 20001, false, 4},
+    {130, 24, 1, true, true, 1.00, 300, 10, 0xaf4478ebe9e7f4b7ULL, 178, true, 10},
+    {130, 24, 1, true, true, 1.00, 20000, 10, 0xaf4478ebe9e7f4b7ULL, 178, true, 10},
+    {700, 40, 0, true, false, 0.90, 300, 4, 0xce9f47d27852e73fULL, 223, true, 4},
+    {700, 40, 0, true, false, 0.90, 20000, 4, 0xce9f47d27852e73fULL, 223, true, 4},
+    {700, 40, 0, true, false, 0.95, 300, 4, 0x1a77f1b101d29621ULL, 109, true, 4},
+    {700, 40, 0, true, false, 0.95, 20000, 4, 0x1a77f1b101d29621ULL, 109, true, 4},
+    {700, 40, 0, true, false, 0.99, 300, 6, 0xef384c647299f209ULL, 301, false, 4},
+    {700, 40, 0, true, false, 0.99, 20000, 6, 0xef384c647299f209ULL, 4809, true, 4},
+    {700, 40, 0, true, false, 1.00, 300, 9, 0x5923f29d2877dfdcULL, 301, false, 6},
+    {700, 40, 0, true, false, 1.00, 20000, 9, 0x5923f29d2877dfdcULL, 866, true, 6},
+    {700, 30, 1, true, true, 0.90, 300, 5, 0xc56d9b66a174d29cULL, 301, false, 4},
+    {700, 30, 1, true, true, 0.90, 20000, 5, 0xc56d9b66a174d29cULL, 1277, true, 4},
+    {700, 30, 1, true, true, 0.95, 300, 7, 0xfab10562feb61564ULL, 301, false, 4},
+    {700, 30, 1, true, true, 0.95, 20000, 6, 0x6db16a090a21bb58ULL, 20001, false, 4},
+    {700, 30, 1, true, true, 0.99, 300, 12, 0x9975ab5a079d04d3ULL, 301, false, 4},
+    {700, 30, 1, true, true, 0.99, 20000, 12, 0x9975ab5a079d04d3ULL, 20001, false, 4},
+    {700, 30, 1, true, true, 1.00, 300, 18, 0x9a5c1c859d1b17f3ULL, 301, false, 12},
+    {700, 30, 1, true, true, 1.00, 20000, 17, 0x3d1628c9a7add7f1ULL, 20001, false, 12},
+};
+
+TEST(SetCover, KernelMatchesPinnedSearch) {
+    for (const PinnedSolve& pin : kPinnedSolves) {
+        const bool weighted = pin.weighted;
+        const SetCoverInstance inst = kernel_instance(
+            pin.elements * 7 + pin.sets + (weighted ? 1 : 0), pin.elements,
+            pin.sets, pin.memberships, pin.runs, weighted);
+        SetCoverOptions opt;
+        opt.coverage = pin.coverage;
+        opt.max_nodes = pin.max_nodes;
+        opt.time_limit_sec = 600.0;  // only the node budget may bind
+        const SetCoverResult r = solve_set_cover(inst, opt);
+        SCOPED_TRACE(::testing::Message()
+                     << pin.elements << " elements, " << pin.sets
+                     << " sets, weighted " << weighted << ", coverage "
+                     << pin.coverage << ", budget " << pin.max_nodes);
+        EXPECT_EQ(r.chosen.size(), pin.chosen_size);
+        EXPECT_EQ(chosen_hash(r.chosen), pin.chosen_hash);
+        EXPECT_EQ(r.lower_bound, pin.lower_bound);
+        if (pin.coverage < 1.0 && pin.chosen_size == pin.lower_bound) {
+            // Partial cover now stops once the incumbent meets its root
+            // bound, so it may prove the same cover in fewer nodes.
+            EXPECT_LE(r.nodes_explored, pin.nodes);
+            EXPECT_TRUE(r.proven_optimal);
+        } else {
+            EXPECT_EQ(r.nodes_explored, pin.nodes);
+            EXPECT_EQ(r.proven_optimal, pin.proven_optimal);
+        }
+    }
+}
+
 TEST(SetCover, BudgetFallsBackToGreedy) {
     Prng rng(17);
     SetCoverInstance inst;
