@@ -33,23 +33,63 @@ bool cancel_requested() {
     return CancelToken::global().cancelled();
 }
 
-/// Freelist of per-worker fault-simulation scratches for one pass; the
-/// scratches stay alive until the pass ends so their work counters can
-/// be harvested.
+/// Per-worker state of pass A: the fault simulator's scratch and the
+/// interval buffers one pair's ranges are extracted into.
+struct WorkerScratch {
+    FaultSimScratch sim;
+    std::vector<Interval> ivals;   ///< one observation point's range
+    std::vector<Interval> ff;      ///< the pair's FF range
+    std::vector<Interval> sr;      ///< the pair's SR range
+    std::vector<Interval> merged;  ///< union buffer
+
+    /// A detected pair's ranges, staged in `stage` until the pass ends.
+    struct Staged {
+        std::uint32_t fault;
+        std::uint32_t pattern;
+        std::uint32_t begin;   ///< FF intervals: stage[begin, ff_end)
+        std::uint32_t ff_end;  ///< SR intervals: stage[ff_end, sr_end)
+        std::uint32_t sr_end;
+    };
+    std::vector<Interval> stage;
+    std::vector<Staged> staged;
+
+    void stage_pair(std::uint32_t fault, std::uint32_t pattern) {
+        const auto begin = static_cast<std::uint32_t>(stage.size());
+        stage.insert(stage.end(), ff.begin(), ff.end());
+        const auto ff_end = static_cast<std::uint32_t>(stage.size());
+        stage.insert(stage.end(), sr.begin(), sr.end());
+        staged.push_back({fault, pattern, begin, ff_end,
+                          static_cast<std::uint32_t>(stage.size())});
+    }
+};
+
+/// acc = acc u add through the swap buffer `merged`.
+void unite_into(std::vector<Interval>& acc, std::span<const Interval> add,
+                std::vector<Interval>& merged) {
+    if (acc.empty()) {
+        acc.assign(add.begin(), add.end());
+        return;
+    }
+    unite_intervals(acc, add, merged);
+    acc.swap(merged);
+}
+
+/// Freelist of per-worker scratches for one pass; the scratches stay
+/// alive until the pass ends so their work counters can be harvested.
 class ScratchPool {
 public:
-    FaultSimScratch* acquire() {
+    WorkerScratch* acquire() {
         const std::lock_guard<std::mutex> lock(mutex_);
         if (!free_.empty()) {
-            FaultSimScratch* s = free_.back();
+            WorkerScratch* s = free_.back();
             free_.pop_back();
             return s;
         }
-        all_.push_back(std::make_unique<FaultSimScratch>());
+        all_.push_back(std::make_unique<WorkerScratch>());
         return all_.back().get();
     }
 
-    void release(FaultSimScratch* s) {
+    void release(WorkerScratch* s) {
         const std::lock_guard<std::mutex> lock(mutex_);
         free_.push_back(s);
     }
@@ -57,14 +97,20 @@ public:
     [[nodiscard]] std::uint64_t gates_evaluated() const {
         const std::lock_guard<std::mutex> lock(mutex_);
         std::uint64_t total = 0;
-        for (const auto& s : all_) total += s->gates_evaluated();
+        for (const auto& s : all_) total += s->sim.gates_evaluated();
         return total;
+    }
+
+    /// Every scratch of the pass (call once the pass's tasks are done).
+    [[nodiscard]] const std::vector<std::unique_ptr<WorkerScratch>>& all()
+        const {
+        return all_;
     }
 
 private:
     mutable std::mutex mutex_;
-    std::vector<std::unique_ptr<FaultSimScratch>> all_;
-    std::vector<FaultSimScratch*> free_;
+    std::vector<std::unique_ptr<WorkerScratch>> all_;
+    std::vector<WorkerScratch*> free_;
 };
 
 }  // namespace
@@ -172,20 +218,6 @@ ThreadPool* DetectionAnalyzer::pool() const {
     return &ThreadPool::shared();
 }
 
-DetectionAnalyzer::PairRanges DetectionAnalyzer::ranges_for_pattern(
-    const FaultSim& fsim, const DelayFault& fault,
-    std::span<const Waveform> good, FaultSimScratch& scratch) const {
-    PairRanges out;
-    for (const ObserveDiff& od : fsim.simulate(fault, good, scratch)) {
-        IntervalSet ivals = od.diff.ones(config_.horizon);
-        ivals.filter_glitches(config_.glitch_threshold);
-        if (ivals.empty()) continue;
-        out.ff.unite(ivals);
-        if (monitored_[od.observe_index]) out.sr.unite(ivals);
-    }
-    return out;
-}
-
 std::vector<FaultRanges> DetectionAnalyzer::analyze(
     std::span<const DelayFault> faults) const {
     const TraceSpan span("analyze", "detect");
@@ -229,6 +261,24 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
     screen_span.end();
 
     ScratchPool scratches;
+    const auto ops = nl.observe_points();
+
+    // The FF / SR ranges of one simulated pair, into w.ff / w.sr.
+    auto pair_ranges = [&](const FaultSim& fsim, const DelayFault& fault,
+                           std::span<const Waveform> good, WorkerScratch& w) {
+        fsim.propagate(fault, good, w.sim);
+        w.ff.clear();
+        w.sr.clear();
+        for (std::uint32_t oi : w.sim.observed()) {
+            const GateId sig = ops[oi].signal;
+            xor_ones(good[sig].view(), w.sim.faulty(sig), config_.horizon,
+                     w.ivals);
+            drop_short_intervals(w.ivals, config_.glitch_threshold);
+            if (w.ivals.empty()) continue;
+            unite_into(w.ff, w.ivals, w.merged);
+            if (monitored_[oi]) unite_into(w.sr, w.ivals, w.merged);
+        }
+    };
 
     // One (pattern, fault chunk) work item; patterns are processed in
     // ascending order with a barrier in between, so the per-fault
@@ -237,7 +287,7 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
                          std::size_t begin, std::size_t end) {
         const TraceSpan chunk_span("fault_sim_chunk", "detect");
         const auto t0 = Clock::now();
-        FaultSimScratch* scratch = scratches.acquire();
+        WorkerScratch* scratch = scratches.acquire();
         const FaultSim fsim(*wave_sim_);
         std::uint64_t screened = 0;
         std::uint64_t inactive = 0;
@@ -259,13 +309,12 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
                 continue;
             }
             ++simulated;
-            PairRanges pr =
-                ranges_for_pattern(fsim, faults[fi], good, *scratch);
-            if (pr.ff.empty() && pr.sr.empty()) continue;
+            pair_ranges(fsim, faults[fi], good, *scratch);
+            if (scratch->ff.empty() && scratch->sr.empty()) continue;
             ++detected;
-            result[fi].ff.unite(pr.ff);
-            result[fi].sr.unite(pr.sr);
-            result[fi].active_patterns.push_back(pi);
+            result[fi].ff.unite(scratch->ff);
+            result[fi].sr.unite(scratch->sr);
+            scratch->stage_pair(static_cast<std::uint32_t>(fi), pi);
         }
         scratches.release(scratch);
         stats_.pairs_screened_out += screened;
@@ -343,6 +392,58 @@ std::vector<FaultRanges> DetectionAnalyzer::analyze(
             producers[idx].reset();
         }
     }
+
+    // Move the staged per-pattern ranges into their faults.  Each
+    // fault's arrays are allocated once, at their exact size, after the
+    // pass's transient buffers are gone: grown pair by pair during the
+    // pass, they would pin fragments of the whole pass's heap.
+    using Staged = WorkerScratch::Staged;
+    std::vector<std::uint32_t> first(faults.size() + 1, 0);
+    for (const auto& w : scratches.all()) {
+        for (const Staged& p : w->staged) ++first[p.fault + 1];
+    }
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+        first[fi + 1] += first[fi];
+    }
+    std::vector<std::pair<const Staged*, const WorkerScratch*>> by_fault(
+        first.back());
+    {
+        std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+        for (const auto& w : scratches.all()) {
+            for (const Staged& p : w->staged) {
+                by_fault[fill[p.fault]++] = {&p, w.get()};
+            }
+        }
+    }
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+        const auto begin = by_fault.begin() + first[fi];
+        const auto end = by_fault.begin() + first[fi + 1];
+        if (begin == end) continue;
+        std::sort(begin, end, [](const auto& a, const auto& b) {
+            return a.first->pattern < b.first->pattern;
+        });
+        std::size_t intervals = 0;
+        for (auto it = begin; it != end; ++it) {
+            intervals += it->first->sr_end - it->first->begin;
+        }
+        FaultRanges& r = result[fi];
+        r.active_patterns.reserve(static_cast<std::size_t>(end - begin));
+        r.pattern_ends.reserve(2 * static_cast<std::size_t>(end - begin));
+        r.pattern_intervals.reserve(intervals);
+        for (auto it = begin; it != end; ++it) {
+            const Staged& p = *it->first;
+            const Interval* stage = it->second->stage.data();
+            r.active_patterns.push_back(p.pattern);
+            r.pattern_intervals.insert(r.pattern_intervals.end(),
+                                       stage + p.begin, stage + p.ff_end);
+            r.pattern_ends.push_back(
+                static_cast<std::uint32_t>(r.pattern_intervals.size()));
+            r.pattern_intervals.insert(r.pattern_intervals.end(),
+                                       stage + p.ff_end, stage + p.sr_end);
+            r.pattern_ends.push_back(
+                static_cast<std::uint32_t>(r.pattern_intervals.size()));
+        }
+    }
     stats_.gates_reevaluated += scratches.gates_evaluated();
     stats_.analyze_ns += ns_since(t_total);
     return result;
@@ -354,134 +455,79 @@ std::vector<DetectionEntry> DetectionAnalyzer::detection_table(
     const TraceSpan span("detection_table", "detect");
     const auto t_total = Clock::now();
     assert(ranges.size() == faults.size());
+    (void)faults;
 
-    // Invert: pattern -> fault indices with that pattern active.
-    std::vector<std::vector<std::uint32_t>> by_pattern(patterns_.size());
-    for (std::uint32_t fi = 0; fi < ranges.size(); ++fi) {
-        for (std::uint32_t pi : ranges[fi].active_patterns) {
-            by_pattern[pi].push_back(fi);
-        }
-    }
-    std::vector<std::uint32_t> active_pats;
-    for (std::uint32_t pi = 0; pi < patterns_.size(); ++pi) {
-        if (!by_pattern[pi].empty()) active_pats.push_back(pi);
-    }
-
-    std::vector<DetectionEntry> entries;
-    std::mutex entries_mutex;
-    ScratchPool scratches;
-
-    auto run_chunk = [&](std::uint32_t pi, std::span<const Waveform> good,
-                         std::size_t begin, std::size_t end) {
-        const TraceSpan chunk_span("table_chunk", "detect");
-        const auto t0 = Clock::now();
-        FaultSimScratch* scratch = scratches.acquire();
-        const FaultSim fsim(*wave_sim_);
-        const auto& flist = by_pattern[pi];
-        std::vector<DetectionEntry> local;
-        std::uint64_t simulated = 0;
-        for (std::size_t k = begin; k < end; ++k) {
-            if (CancelToken::global().cancelled()) {
-                interrupted_.store(true, std::memory_order_relaxed);
-                break;
-            }
-            const std::uint32_t fi = flist[k];
-            const PairRanges pr =
-                ranges_for_pattern(fsim, faults[fi], good, *scratch);
-            ++simulated;
-            for (std::uint16_t ti = 0; ti < periods.size(); ++ti) {
-                const Time t = periods[ti];
+    // Visits the entries of fault fi in (period, pattern, config) order;
+    // with faults in index order that is the table's order.
+    auto for_each_entry = [&](std::uint32_t fi, auto&& emit) {
+        const FaultRanges& r = ranges[fi];
+        assert(r.pattern_ends.size() == 2 * r.active_patterns.size());
+        for (std::uint16_t ti = 0; ti < periods.size(); ++ti) {
+            const Time t = periods[ti];
+            for (std::size_t k = 0; k < r.active_patterns.size(); ++k) {
+                const bool ff = intervals_contain(r.pattern_ff(k), t);
+                const std::span<const Interval> sr = r.pattern_sr(k);
                 for (std::uint16_t ci = 0; ci < config_delays.size(); ++ci) {
-                    const Time shifted = t - config_delays[ci];
-                    const bool det =
-                        (ci == 0 && pr.ff.contains(t)) ||
-                        (ci != 0 && (pr.ff.contains(t) ||
-                                     pr.sr.contains(shifted)));
-                    if (det) {
-                        local.push_back(DetectionEntry{fi, pi, ci, ti});
+                    if (ff || (ci != 0 &&
+                               intervals_contain(sr, t - config_delays[ci]))) {
+                        emit(DetectionEntry{fi, r.active_patterns[k], ci, ti});
                     }
                 }
             }
         }
-        scratches.release(scratch);
-        stats_.pairs_simulated += simulated;
-        stats_.fault_sim_ns += ns_since(t0);
-        const std::lock_guard<std::mutex> lock(entries_mutex);
-        entries.insert(entries.end(), local.begin(), local.end());
     };
 
+    // Fault chunks run in parallel twice: once to size each fault's run
+    // of entries, once to write them in place.  A chunk that sees a
+    // cancellation request contributes no entries.
     ThreadPool* tp = pool();
-    if (tp == nullptr) {
-        for (std::uint32_t pi : active_pats) {
-            if (cancel_requested()) {
-                interrupted_.store(true, std::memory_order_relaxed);
-                break;
+    const std::size_t lanes = tp == nullptr ? 1 : tp->size() + 1;
+    const std::size_t chunk_count =
+        std::max<std::size_t>(1, std::min(ranges.size(), lanes * 4));
+    const std::size_t chunk = (ranges.size() + chunk_count - 1) / chunk_count;
+    auto for_each_chunk = [&](auto&& body) {
+        if (tp == nullptr) {
+            for (std::size_t b = 0; b < ranges.size(); b += chunk) {
+                body(b, std::min(ranges.size(), b + chunk));
             }
-            const auto t0 = Clock::now();
-            const PatternPair& p = patterns_[pi];
-            const std::vector<Waveform> good =
-                wave_sim_->simulate(p.v1, p.v2);
-            ++stats_.good_wave_sims;
-            stats_.good_wave_ns += ns_since(t0);
-            run_chunk(pi, good, 0, by_pattern[pi].size());
+            return;
         }
-    } else {
-        const std::size_t lanes = tp->size() + 1;
-        const std::size_t lookahead =
-            std::min(active_pats.size(), lanes + 2);
-        std::vector<std::vector<Waveform>> slots(active_pats.size());
-        std::vector<std::unique_ptr<ThreadPool::TaskGroup>> producers(
-            active_pats.size());
-        std::size_t next_submit = 0;
-        auto submit_until = [&](std::size_t limit) {
-            for (; next_submit < limit; ++next_submit) {
-                const std::size_t idx = next_submit;
-                producers[idx] =
-                    std::make_unique<ThreadPool::TaskGroup>(*tp);
-                producers[idx]->run([this, idx, &slots, &active_pats] {
-                    const TraceSpan wave_span("good_wave", "detect");
-                    const auto t0 = Clock::now();
-                    const PatternPair& p = patterns_[active_pats[idx]];
-                    slots[idx] = wave_sim_->simulate(p.v1, p.v2);
-                    ++stats_.good_wave_sims;
-                    stats_.good_wave_ns += ns_since(t0);
-                });
-            }
-        };
-        for (std::size_t idx = 0; idx < active_pats.size(); ++idx) {
-            if (cancel_requested()) {
-                interrupted_.store(true, std::memory_order_relaxed);
-                break;
-            }
-            submit_until(std::min(active_pats.size(), idx + lookahead));
-            producers[idx]->wait();
-            const std::vector<Waveform>& good = slots[idx];
-            const std::uint32_t pi = active_pats[idx];
-            const std::size_t total = by_pattern[pi].size();
-            ThreadPool::TaskGroup group(*tp);
-            const std::size_t chunk_count = std::min(total, lanes * 4);
-            const std::size_t chunk =
-                (total + chunk_count - 1) / chunk_count;
-            for (std::size_t b = 0; b < total; b += chunk) {
-                const std::size_t e = std::min(total, b + chunk);
-                group.run([&run_chunk, pi, &good, b, e] {
-                    run_chunk(pi, good, b, e);
-                });
-            }
-            group.wait();
-            slots[idx] = {};
-            producers[idx].reset();
+        ThreadPool::TaskGroup group(*tp);
+        for (std::size_t b = 0; b < ranges.size(); b += chunk) {
+            const std::size_t e = std::min(ranges.size(), b + chunk);
+            group.run([&body, b, e] { body(b, e); });
         }
+        group.wait();
+    };
+
+    std::vector<std::size_t> offset(ranges.size() + 1, 0);
+    std::vector<char> chunk_done(chunk_count, 0);
+    for_each_chunk([&](std::size_t b, std::size_t e) {
+        const TraceSpan chunk_span("table_chunk", "detect");
+        if (cancel_requested()) {
+            interrupted_.store(true, std::memory_order_relaxed);
+            return;
+        }
+        for (std::size_t fi = b; fi < e; ++fi) {
+            std::size_t n = 0;
+            for_each_entry(static_cast<std::uint32_t>(fi),
+                           [&n](const DetectionEntry&) { ++n; });
+            offset[fi + 1] = n;
+        }
+        chunk_done[b / chunk] = 1;
+    });
+    for (std::size_t fi = 0; fi < ranges.size(); ++fi) {
+        offset[fi + 1] += offset[fi];
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const DetectionEntry& a, const DetectionEntry& b) {
-                  if (a.fault_index != b.fault_index)
-                      return a.fault_index < b.fault_index;
-                  if (a.period != b.period) return a.period < b.period;
-                  if (a.pattern != b.pattern) return a.pattern < b.pattern;
-                  return a.config < b.config;
-              });
-    stats_.gates_reevaluated += scratches.gates_evaluated();
+    std::vector<DetectionEntry> entries(offset.back());
+    for_each_chunk([&](std::size_t b, std::size_t e) {
+        if (chunk_done[b / chunk] == 0) return;
+        for (std::size_t fi = b; fi < e; ++fi) {
+            DetectionEntry* out = entries.data() + offset[fi];
+            for_each_entry(static_cast<std::uint32_t>(fi),
+                           [&out](const DetectionEntry& d) { *out++ = d; });
+        }
+    });
     stats_.table_ns += ns_since(t_total);
     return entries;
 }

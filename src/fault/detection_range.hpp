@@ -7,13 +7,15 @@
 // are pulse-filtered (Sec. II-A) and accumulated into two aggregates per
 // fault: the range observable by standard flip-flops (all observation
 // points) and the unshifted range observable by monitor shadow
-// registers (monitored observation points only).  Patterns that produce
-// any difference are remembered for pass B.
+// registers (monitored observation points only).  The FF and SR
+// intervals of every pattern that produces any difference are kept
+// with the fault as well, so each (fault, pattern) pair is simulated
+// exactly once.
 //
-// Pass B (detection_table): re-simulates only (fault, active pattern)
-// pairs and evaluates detection at a small set of selected observation
-// times under every monitor configuration — the input of the second
-// scheduling step (pattern x configuration selection).
+// Pass B (detection_table): evaluates detection of the kept per-pattern
+// ranges at a small set of selected observation times under every
+// monitor configuration — the input of the second scheduling step
+// (pattern x configuration selection).  It simulates nothing.
 //
 // Engine structure (this is the dominant cost of the whole flow):
 //   * a bit-parallel ternary pre-screen (ActivationScreen) packs
@@ -21,8 +23,8 @@
 //     provably never toggles, before any waveform is touched;
 //   * surviving pairs run through FaultSim's event worklist (only gates
 //     whose fanin changed are re-evaluated; no fanout cone is built or
-//     cached) with a per-worker dense-overlay scratch that recycles
-//     every waveform buffer;
+//     cached) on a per-worker waveform arena, and their ranges are
+//     extracted into per-worker buffers: no per-pair allocation;
 //   * work executes on a persistent thread pool: fault pairs of the
 //     current pattern in parallel chunks, the next patterns'
 //     fault-free waveforms as pipelined producer tasks;
@@ -50,8 +52,24 @@ struct FaultRanges {
     /// Unshifted detection range at monitored observation points; the
     /// shadow-register range under configuration delay d is (sr + d).
     IntervalSet sr;
-    /// Pattern indices that produced any output difference.
+    /// Pattern indices that produced any output difference, ascending.
     std::vector<std::uint32_t> active_patterns;
+    /// The FF and SR ranges of each active pattern (pass B's input), one
+    /// flat list: active pattern k's FF intervals end at
+    /// pattern_ends[2k] and its SR intervals follow up to
+    /// pattern_ends[2k + 1].
+    std::vector<Interval> pattern_intervals;
+    std::vector<std::uint32_t> pattern_ends;
+
+    /// FF / SR range of active pattern k alone.
+    [[nodiscard]] std::span<const Interval> pattern_ff(std::size_t k) const {
+        const std::uint32_t begin = k == 0 ? 0 : pattern_ends[2 * k - 1];
+        return {pattern_intervals.data() + begin, pattern_ends[2 * k] - begin};
+    }
+    [[nodiscard]] std::span<const Interval> pattern_sr(std::size_t k) const {
+        return {pattern_intervals.data() + pattern_ends[2 * k],
+                pattern_ends[2 * k + 1] - pattern_ends[2 * k]};
+    }
 };
 
 /// One confirmed detection opportunity (pass B).
@@ -76,11 +94,9 @@ struct DetectionAnalysisConfig {
 };
 
 /// Cumulative work/timing counters of a DetectionAnalyzer — the
-/// baseline data of performance work on the engine.  pairs_total,
-/// the screen/activation counters and pairs_detected cover analyze();
-/// pairs_simulated, gates_reevaluated, good_wave_* and
-/// fault_sim_seconds count the work of both passes (detection_table()
-/// re-simulations included).
+/// baseline data of performance work on the engine.  Every counter but
+/// table_seconds covers analyze(): detection_table() simulates nothing,
+/// so it adds only its wall clock.
 struct DetectionCounters {
     std::uint64_t pairs_total = 0;         ///< (fault, pattern) pairs seen
     std::uint64_t pairs_screened_out = 0;  ///< dropped by the bit-parallel screen
@@ -158,10 +174,13 @@ public:
     [[nodiscard]] std::vector<FaultRanges> analyze(
         std::span<const DelayFault> faults) const;
 
-    /// Pass B: for each fault (with its active pattern list from pass A),
+    /// Pass B: for each fault (with its per-pattern ranges from pass A),
     /// tests detection at each observation time in `periods` under each
     /// monitor configuration delay in `config_delays` (index 0 is the
-    /// monitor-off configuration with delay 0).
+    /// monitor-off configuration with delay 0).  Entries come in
+    /// (fault, period, pattern, config) order.  `ranges` must come from
+    /// analyze() on an analyzer with this one's patterns, horizon,
+    /// glitch threshold and monitors; `faults` only sizes the table.
     [[nodiscard]] std::vector<DetectionEntry> detection_table(
         std::span<const DelayFault> faults,
         std::span<const FaultRanges> ranges,
@@ -183,15 +202,6 @@ public:
     }
 
 private:
-    /// FF/SR interval pair for one fault under one pattern.
-    struct PairRanges {
-        IntervalSet ff;
-        IntervalSet sr;
-    };
-    [[nodiscard]] PairRanges ranges_for_pattern(
-        const FaultSim& fsim, const DelayFault& fault,
-        std::span<const Waveform> good, FaultSimScratch& scratch) const;
-
     /// nullptr = run serial (num_threads == 1).
     [[nodiscard]] ThreadPool* pool() const;
 

@@ -566,9 +566,14 @@ HdfFlowResult HdfFlow::run() {
                 }
             }
         }
+        const auto kept = [&remap](const DetectionEntry& e) {
+            return e.period < remap.size() && remap[e.period] != UINT16_MAX;
+        };
         std::vector<DetectionEntry> out;
+        out.reserve(static_cast<std::size_t>(
+            std::count_if(all_entries.begin(), all_entries.end(), kept)));
         for (DetectionEntry e : all_entries) {
-            if (e.period < remap.size() && remap[e.period] != UINT16_MAX) {
+            if (kept(e)) {
                 e.period = remap[e.period];
                 out.push_back(e);
             }

@@ -128,7 +128,7 @@ struct HdfFlowResult {
     Time clock_period = 0.0;
     Time t_min = 0.0;
     double atpg_coverage = 0.0;
-    // --- engine counters (pass A + pass B accumulated) ---
+    // --- engine counters (pass A; pass B adds only table_seconds) ---
     DetectionCounters detection;
     // --- observability ---
     /// Wall/CPU time per flow phase, in execution order (prepare()

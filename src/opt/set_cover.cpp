@@ -5,9 +5,9 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <numeric>
 #include <span>
+#include <unordered_map>
 
 #include "util/cancel.hpp"
 #include "util/fault_inject.hpp"
@@ -89,27 +89,51 @@ SetCoverResult greedy_set_cover(const SetCoverInstance& instance,
     const std::uint64_t target = coverage_target(instance, options.coverage);
     const SetRows rows(instance.num_elements, instance.sets);
     std::vector<std::uint64_t> covered(rows.words, 0);
-    std::vector<bool> used(instance.sets.size(), false);
     std::uint64_t covered_weight = 0;
-
-    while (covered_weight < target) {
-        std::size_t best = SIZE_MAX;
-        std::uint64_t best_gain = 0;
-        for (std::size_t s = 0; s < instance.sets.size(); ++s) {
-            if (used[s]) continue;
-            std::uint64_t gain = 0;
-            for (const SetRows::Word& w : rows.row(s)) {
-                gain += weight_of_bits(instance, w.index,
-                                       w.bits & ~covered[w.index]);
-            }
-            if (gain > best_gain) {
-                best_gain = gain;
-                best = s;
-            }
+    const auto gain_of = [&](std::size_t s) {
+        std::uint64_t gain = 0;
+        for (const SetRows::Word& w : rows.row(s)) {
+            gain += weight_of_bits(instance, w.index,
+                                   w.bits & ~covered[w.index]);
         }
-        if (best == SIZE_MAX) break;  // nothing improves coverage
-        used[best] = true;
-        result.chosen.push_back(static_cast<std::uint32_t>(best));
+        return gain;
+    };
+
+    // Lazy greedy: a set's gain only falls as coverage grows, so a
+    // stored gain is an upper bound.  The heap's top (largest stored
+    // gain, then lowest index) is the pick once its fresh gain equals
+    // the stored one: the set of largest gain, lowest index on ties.
+    struct Entry {
+        std::uint64_t gain;
+        std::uint32_t set;
+    };
+    const auto below = [](const Entry& a, const Entry& b) {
+        return a.gain != b.gain ? a.gain < b.gain : a.set > b.set;
+    };
+    std::vector<Entry> heap;
+    heap.reserve(instance.sets.size());
+    for (std::uint32_t s = 0; s < instance.sets.size(); ++s) {
+        const std::uint64_t gain = gain_of(s);
+        if (gain != 0) heap.push_back({gain, s});
+    }
+    std::make_heap(heap.begin(), heap.end(), below);
+
+    while (covered_weight < target && !heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), below);
+        Entry& top = heap.back();
+        const std::uint64_t gain = gain_of(top.set);
+        if (gain != top.gain) {
+            if (gain == 0) {
+                heap.pop_back();  // nothing left to cover
+            } else {
+                top.gain = gain;
+                std::push_heap(heap.begin(), heap.end(), below);
+            }
+            continue;
+        }
+        const std::uint32_t best = top.set;
+        heap.pop_back();
+        result.chosen.push_back(best);
         for (const SetRows::Word& w : rows.row(best)) {
             covered_weight += weight_of_bits(instance, w.index,
                                              w.bits & ~covered[w.index]);
@@ -123,6 +147,18 @@ SetCoverResult greedy_set_cover(const SetCoverInstance& instance,
 }
 
 namespace {
+
+/// Hash of a list of element or set ids (FNV-1a, one id per step).
+struct IdListHash {
+    std::size_t operator()(const std::vector<std::uint32_t>& ids) const {
+        std::uint64_t h = 1469598103934665603ULL;
+        for (std::uint32_t id : ids) {
+            h ^= id;
+            h *= 1099511628211ULL;
+        }
+        return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+};
 
 /// Reduced instance after preprocessing, with maps back to the original.
 struct Reduced {
@@ -182,22 +218,27 @@ Reduced preprocess(const SetCoverInstance& instance, bool full_cover) {
     }
 
     // Merge elements with identical covering-set signatures (restricted
-    // to non-forced sets).
-    std::map<std::vector<std::uint32_t>, std::uint32_t> signature_to_new;
+    // to non-forced sets).  Merged elements are numbered in order of
+    // first occurrence, so the map is only a lookup.
+    std::unordered_map<std::vector<std::uint32_t>, std::uint32_t, IdListHash>
+        signature_to_new;
+    signature_to_new.reserve(instance.num_elements);
     std::vector<std::uint32_t> new_weight;
     std::vector<std::vector<std::uint32_t>> new_cover_by;
+    std::vector<std::uint32_t> sig;
     for (std::uint32_t e = 0; e < instance.num_elements; ++e) {
         if (element_removed[e]) continue;
-        std::vector<std::uint32_t> sig;
+        sig.clear();
         for (std::uint32_t s : cover_by[e]) {
             if (!set_forced[s]) sig.push_back(s);
         }
         if (sig.empty()) continue;  // only coverable by forced sets
-        auto [it, inserted] = signature_to_new.emplace(
-            std::move(sig), static_cast<std::uint32_t>(new_weight.size()));
-        if (inserted) {
+        const auto it = signature_to_new.find(sig);
+        if (it == signature_to_new.end()) {
+            signature_to_new.emplace(
+                sig, static_cast<std::uint32_t>(new_weight.size()));
             new_weight.push_back(instance.weight_of(e));
-            new_cover_by.push_back(it->first);
+            new_cover_by.push_back(sig);
         } else {
             new_weight[it->second] += instance.weight_of(e);
         }
@@ -217,11 +258,13 @@ Reduced preprocess(const SetCoverInstance& instance, bool full_cover) {
     }
     // Exact-duplicate removal.
     {
-        std::map<std::vector<std::uint32_t>, std::uint32_t> seen;
+        std::unordered_map<std::vector<std::uint32_t>, std::uint32_t,
+                           IdListHash>
+            seen;
+        seen.reserve(alive.size());
         std::vector<std::uint32_t> kept;
         for (std::uint32_t s : alive) {
-            auto [it, inserted] = seen.emplace(new_sets[s], s);
-            if (inserted) kept.push_back(s);
+            if (seen.emplace(new_sets[s], s).second) kept.push_back(s);
         }
         alive = std::move(kept);
     }

@@ -33,54 +33,76 @@ std::vector<ObserveDiff> FaultSim::simulate(
     return simulate(fault, good, scratch);
 }
 
-std::vector<ObserveDiff> FaultSim::simulate(
-    const DelayFault& fault, std::span<const Waveform> good,
-    FaultSimScratch& scratch) const {
-    const Netlist& nl = wave_sim_->netlist();
+void FaultSim::propagate(const DelayFault& fault,
+                         std::span<const Waveform> good,
+                         FaultSimScratch& scratch) const {
+    const WaveSim& ws = *wave_sim_;
+    const Netlist& nl = ws.netlist();
     assert(good.size() == nl.size());
 
-    // Sparse faulty-waveform overlay: only gates that differ from the
-    // fault-free simulation are marked changed in this walk.
     RankWorklist& work = scratch.work_;
     work.begin(nl);
-    scratch.overlay_.resize(nl.size());  // a slot is read only once marked
+    if (scratch.slot_.size() != nl.size()) scratch.slot_.resize(nl.size());
+    scratch.top_ = 0;
     scratch.observed_.clear();
-    std::vector<const Waveform*>& fanin_waves = scratch.fanin_waves_;
+    std::vector<Time>& arena = scratch.arena_;
+    WaveView in[8];
 
-    // Keeps the freshly evaluated overlay slot of `id` if it differs
-    // from the fault-free wave: marks it, records the observation
-    // points it drives and queues its combinational fanouts (Output and
-    // Dff sinks end propagation: fanout does not wrap around a
-    // register).
+    // Evaluates `id` over `in` onto the arena's top.
+    auto eval = [&](GateId id) {
+        bool initial = false;
+        const std::uint32_t n = ws.eval_gate_into(id, in, arena, scratch.top_,
+                                                  initial, scratch.eval_);
+        scratch.slot_[id] = FaultSimScratch::Slot{scratch.top_, n, initial};
+        scratch.top_ += n;
+        ++scratch.gates_evaluated_;
+    };
+    // Keeps the freshly evaluated slot of `id` (the arena's top) if it
+    // differs from the fault-free wave: marks it, records the
+    // observation points it drives and queues its combinational fanouts
+    // (Output and Dff sinks end propagation: fanout does not wrap
+    // around a register).  An unchanged result is rewound.
     auto settle = [&](GateId id) {
-        if (scratch.overlay_[id] == good[id]) return;
+        const FaultSimScratch::Slot& s = scratch.slot_[id];
+        const Waveform& g = good[id];
+        if (s.initial == g.initial() && s.n == g.num_transitions() &&
+            std::equal(g.transitions().begin(), g.transitions().end(),
+                       arena.begin() + s.begin)) {
+            scratch.top_ = s.begin;
+            return;
+        }
         work.mark_changed(id);
         const auto obs = nl.observe_indices(id);
         scratch.observed_.insert(scratch.observed_.end(), obs.begin(),
                                  obs.end());
-        work.push_fanouts(id, is_combinational);
+        for (GateId out : ws.comb_fanouts(id)) work.push(out);
     };
 
     const GateId site_gate = fault.site.gate;
-    const Gate& sg = nl.gate(site_gate);
     if (fault.site.pin == FaultSite::kOutputPin) {
         // Output fault: retard the slow edges of the gate's own output
         // waveform.
-        scratch.overlay_[site_gate].assign_slowed(
-            good[site_gate], fault.slow_rising, fault.delta);
+        const WaveView src = good[site_gate].view();
+        if (arena.size() < src.n) arena.resize(src.n);
+        const auto n = static_cast<std::uint32_t>(
+            slow_edges(src, fault.slow_rising, fault.delta, arena.data()));
+        scratch.slot_[site_gate] = FaultSimScratch::Slot{0, n, src.initial};
+        scratch.top_ = n;
     } else {
         // Input-pin fault: the gate sees a retarded version of the
         // driving waveform on that one pin.
-        scratch.pin_wave_.assign_slowed(good[sg.fanin[fault.site.pin]],
-                                        fault.slow_rising, fault.delta);
-        fanin_waves.clear();
-        for (std::uint32_t p = 0; p < sg.fanin.size(); ++p) {
-            fanin_waves.push_back(p == fault.site.pin ? &scratch.pin_wave_
-                                                      : &good[sg.fanin[p]]);
+        const std::span<const GateId> fin = ws.fanins(site_gate);
+        const WaveView src = good[fin[fault.site.pin]].view();
+        scratch.pin_wave_.resize(src.n);
+        const auto n = static_cast<std::uint32_t>(
+            slow_edges(src, fault.slow_rising, fault.delta,
+                       scratch.pin_wave_.data()));
+        for (std::size_t p = 0; p < fin.size(); ++p) {
+            in[p] = p == fault.site.pin
+                        ? WaveView{scratch.pin_wave_.data(), n, src.initial}
+                        : good[fin[p]].view();
         }
-        wave_sim_->eval_gate_into(site_gate, fanin_waves,
-                                  scratch.overlay_[site_gate], scratch.eval_);
-        ++scratch.gates_evaluated_;
+        eval(site_gate);
     }
     settle(site_gate);
 
@@ -88,24 +110,29 @@ std::vector<ObserveDiff> FaultSim::simulate(
     // can still change (all of lower rank) has been settled.
     while (!work.empty()) {
         const GateId id = work.pop();
-        fanin_waves.clear();
-        for (GateId f : nl.gate(id).fanin) {
-            fanin_waves.push_back(work.changed(f) ? &scratch.overlay_[f]
-                                                  : &good[f]);
+        const std::span<const GateId> fin = ws.fanins(id);
+        for (std::size_t p = 0; p < fin.size(); ++p) {
+            in[p] = work.changed(fin[p]) ? scratch.faulty(fin[p])
+                                         : good[fin[p]].view();
         }
-        wave_sim_->eval_gate_into(id, fanin_waves, scratch.overlay_[id],
-                                  scratch.eval_);
-        ++scratch.gates_evaluated_;
+        eval(id);
         settle(id);
     }
-
-    // Differences at the observation points, in observe-index order.
-    std::vector<ObserveDiff> diffs;
     std::sort(scratch.observed_.begin(), scratch.observed_.end());
-    const auto ops = nl.observe_points();
-    for (std::uint32_t oi : scratch.observed_) {
+}
+
+std::vector<ObserveDiff> FaultSim::simulate(
+    const DelayFault& fault, std::span<const Waveform> good,
+    FaultSimScratch& scratch) const {
+    propagate(fault, good, scratch);
+    std::vector<ObserveDiff> diffs;
+    const auto ops = wave_sim_->netlist().observe_points();
+    Waveform faulty;
+    for (std::uint32_t oi : scratch.observed()) {
         const GateId sig = ops[oi].signal;
-        Waveform diff = Waveform::xor_of(good[sig], scratch.overlay_[sig]);
+        const WaveView f = scratch.faulty(sig);
+        faulty.assign(f.initial, f.transitions());
+        Waveform diff = Waveform::xor_of(good[sig], faulty);
         if (!diff.is_constant() || diff.initial()) {
             diffs.push_back(ObserveDiff{oi, std::move(diff)});
         }

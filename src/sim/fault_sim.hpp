@@ -7,19 +7,20 @@
 // ranges (Sec. III-B).  Only gates whose fanin waveforms actually
 // changed are re-evaluated.
 //
-// Hot-path plumbing (the engine runs one simulate() per activated
+// Hot-path plumbing (the engine runs one walk per activated
 // (fault, pattern) pair, millions on the larger benches):
 //   * event frontier: a RankWorklist seeded from the site gate queues a
 //     gate only when one of its fanins changed and pops it after every
 //     fanin is final, so cost scales with the changed gates — there is
-//     no per-site fanout cone to build, cache or walk.  Observation
-//     points come from Netlist::observe_indices of the changed gates.
-//   * FaultSimScratch holds the faulty-waveform overlay as a dense
-//     array indexed by GateId, valid where the worklist marks a gate
-//     changed, so a new walk clears it without deallocating.  Gates
-//     are evaluated straight into their overlay slot through
-//     WaveSim::eval_gate_into, so every waveform and event buffer is
-//     recycled across calls.  One scratch per thread.
+//     no per-site fanout cone to build, cache or walk.  Fanins and
+//     combinational fanouts come from WaveSim's CSR arrays, so the walk
+//     never touches a Gate.  Observation points come from
+//     Netlist::observe_indices of the changed gates.
+//   * FaultSimScratch holds the faulty waveforms in one arena of toggle
+//     times: a gate is evaluated straight onto the arena's top, and a
+//     result equal to the fault-free waveform is rewound at once, so the
+//     arena holds exactly the changed gates and a new walk just resets
+//     it.  One scratch per thread.
 #pragma once
 
 #include <cstdint>
@@ -63,10 +64,9 @@ struct ObserveDiff {
 [[nodiscard]] GateId fault_site_signal(const Netlist& netlist,
                                        const FaultSite& site);
 
-/// Per-thread scratch state of the fault-simulation hot path: the dense
-/// faulty-waveform overlay, the event worklist and the
-/// recycled evaluation buffers.  Not thread-safe; use one instance per
-/// worker.
+/// Per-thread scratch state of the fault-simulation hot path: the
+/// faulty-waveform arena, the event worklist and the kernel's buffers.
+/// Not thread-safe; use one instance per worker.
 class FaultSimScratch {
 public:
     /// Gates the simulator re-evaluated through this scratch (cheap
@@ -75,17 +75,36 @@ public:
         return gates_evaluated_;
     }
 
+    /// Observation points whose signal changed in the last walk, in
+    /// ascending observe-index order.
+    [[nodiscard]] std::span<const std::uint32_t> observed() const {
+        return observed_;
+    }
+
+    /// Faulty waveform of a gate the last walk changed (the signal of
+    /// every observed() point); valid until the next walk.
+    [[nodiscard]] WaveView faulty(GateId gate) const {
+        const Slot& s = slot_[gate];
+        return {arena_.data() + s.begin, s.n, s.initial};
+    }
+
 private:
     friend class FaultSim;
 
-    // A gate's overlay_ slot holds its faulty waveform while the
-    // worklist marks it changed (a slot whose result equalled the
-    // fault-free wave is left dirty and unmarked).
-    std::vector<Waveform> overlay_;
+    struct Slot {
+        std::uint32_t begin = 0;  ///< first toggle in arena_
+        std::uint32_t n = 0;
+        bool initial = false;
+    };
+
+    // A gate's slot is valid while the worklist marks it changed; the
+    // changed gates' toggles are arena_[0, top_).
+    std::vector<Time> arena_;
+    std::uint32_t top_ = 0;
+    std::vector<Slot> slot_;
     RankWorklist work_;
     std::vector<std::uint32_t> observed_;  ///< observe indices that changed
-    std::vector<const Waveform*> fanin_waves_;
-    Waveform pin_wave_;  ///< slowed fanin of an input-pin fault
+    std::vector<Time> pin_wave_;           ///< slowed fanin of an input-pin fault
     GateEvalScratch eval_;
     std::uint64_t gates_evaluated_ = 0;
 };
@@ -94,14 +113,17 @@ class FaultSim {
 public:
     explicit FaultSim(const WaveSim& wave_sim);
 
-    /// Re-simulates `fault` against the fault-free waveforms `good`
-    /// (as produced by WaveSim::simulate for the same pattern pair).
-    /// Returns the non-empty difference waveforms per observation point.
+    /// The event walk: re-simulates `fault` against the fault-free
+    /// waveforms `good` (as produced by WaveSim::simulate for the same
+    /// pattern pair) and leaves the changed observation points and
+    /// their faulty waveforms in `scratch` (observed(), faulty()).
+    void propagate(const DelayFault& fault, std::span<const Waveform> good,
+                   FaultSimScratch& scratch) const;
+
+    /// propagate() with the result as the non-empty difference
+    /// waveforms per observation point, in observe-index order.
     [[nodiscard]] std::vector<ObserveDiff> simulate(
         const DelayFault& fault, std::span<const Waveform> good) const;
-
-    /// Hot-path variant: identical result, state kept in `scratch`
-    /// (dense overlay, no per-call allocation beyond the returned diffs).
     [[nodiscard]] std::vector<ObserveDiff> simulate(
         const DelayFault& fault, std::span<const Waveform> good,
         FaultSimScratch& scratch) const;

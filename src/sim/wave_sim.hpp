@@ -6,11 +6,22 @@
 // waveforms to an output waveform using the annotated pin-to-pin
 // rise/fall delays, followed by inertial pulse filtering.  This is the
 // CPU equivalent of the GPU waveform simulator the paper uses [20].
+//
+// The gate kernel runs on flat arrays built once at construction, so
+// an evaluation never touches a Gate or the DelayAnnotation:
+//   * a truth table per (cell type, arity), up to 256 bits (arity <= 8),
+//     shared by every gate of that shape and indexed by the input bits;
+//   * the inertial threshold of every gate;
+//   * CSR fanin ids with their delay arcs in pin order, and a CSR of
+//     each gate's combinational fanouts (the fault simulator's walk).
+// The delays are therefore read once, when the WaveSim is built: a
+// later change to the annotation is not seen by an existing WaveSim
+// (build a new one, as every caller does right before simulating).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -27,9 +38,9 @@ struct WaveSimConfig {
     double inertial_fraction = 0.4;
 };
 
-/// Reusable buffers of WaveSim::eval_gate_into (the gate's sorted
-/// input events and its pending output events).  Not thread-safe; use
-/// one instance per thread.
+/// Reusable buffers of the gate kernel (the gate's input events in
+/// time order, and the output toggles of eval_gate / simulate).  Not
+/// thread-safe; use one instance per thread.
 class GateEvalScratch {
 private:
     friend class WaveSim;
@@ -39,7 +50,7 @@ private:
         std::uint32_t pin;
     };
     std::vector<InEvent> in_events_;
-    std::vector<std::pair<Time, bool>> pending_;  ///< (time, value-after)
+    std::vector<Time> out_;  ///< output buffer of eval_gate / simulate
 };
 
 class WaveSim {
@@ -50,7 +61,6 @@ public:
     /// Waveforms of all nodes for the pattern pair (v1, v2); both
     /// vectors are indexed like Netlist::comb_sources().
     /// Output/Dff nodes mirror their fanin waveform (zero-delay pads).
-    /// Every gate is evaluated through one GateEvalScratch.
     [[nodiscard]] std::vector<Waveform> simulate(
         std::span<const Bit> v1, std::span<const Bit> v2) const;
 
@@ -60,24 +70,51 @@ public:
     [[nodiscard]] Waveform eval_gate(
         GateId gate, std::span<const Waveform* const> fanin_waves) const;
 
-    /// Allocation-free form of eval_gate: writes the result into `out`,
-    /// reusing its transition buffer and the buffers of `scratch`.
-    /// `out` must not be one of the fanin waveforms.
-    void eval_gate_into(GateId gate,
-                        std::span<const Waveform* const> fanin_waves,
-                        Waveform& out, GateEvalScratch& scratch) const;
+    /// The gate kernel: evaluates `gate` over its fanin waveforms `in`
+    /// (one per pin, in pin order) and writes the output toggles to
+    /// out[at, at + count), growing `out` as needed.  The views may
+    /// point into `out` below `at` (the inputs are copied before `out`
+    /// grows).  Returns count; the output's initial value goes to
+    /// `initial`.
+    std::uint32_t eval_gate_into(GateId gate, const WaveView* in,
+                                 std::vector<Time>& out, std::size_t at,
+                                 bool& initial, GateEvalScratch& scratch) const;
 
     [[nodiscard]] const Netlist& netlist() const { return *netlist_; }
-    [[nodiscard]] const DelayAnnotation& delays() const { return *delays_; }
     [[nodiscard]] const WaveSimConfig& config() const { return config_; }
 
     /// The inertial threshold applied at the output of `gate`.
-    [[nodiscard]] Time inertial_threshold(GateId gate) const;
+    [[nodiscard]] Time inertial_threshold(GateId gate) const {
+        return threshold_[gate];
+    }
+
+    /// Fanin gates of `gate` in pin order.
+    [[nodiscard]] std::span<const GateId> fanins(GateId gate) const {
+        return {fanin_id_.data() + fanin_begin_[gate],
+                fanin_begin_[gate + 1] - fanin_begin_[gate]};
+    }
+
+    /// Combinational fanouts of `gate` (Output and Dff sinks omitted).
+    [[nodiscard]] std::span<const GateId> comb_fanouts(GateId gate) const {
+        return {fanout_id_.data() + fanout_begin_[gate],
+                fanout_begin_[gate + 1] - fanout_begin_[gate]};
+    }
 
 private:
+    static constexpr std::uint16_t kPassThrough = 0xFFFF;
+
     const Netlist* netlist_;
-    const DelayAnnotation* delays_;
     WaveSimConfig config_;
+    std::vector<std::array<std::uint64_t, 4>> tables_;
+    /// Per gate: index into tables_, or kPassThrough for interface
+    /// nodes (Output/Dff mirror their fanin, Input has none).
+    std::vector<std::uint16_t> table_;
+    std::vector<Time> threshold_;
+    std::vector<std::uint32_t> fanin_begin_;  ///< CSR row starts, size n + 1
+    std::vector<GateId> fanin_id_;
+    std::vector<PinDelay> fanin_arc_;
+    std::vector<std::uint32_t> fanout_begin_;
+    std::vector<GateId> fanout_id_;
 };
 
 }  // namespace fastmon

@@ -8,6 +8,7 @@
 // (Sec. III-B).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -15,6 +16,32 @@
 #include "util/interval.hpp"
 
 namespace fastmon {
+
+/// Non-owning view of a waveform held in some other buffer (a
+/// Waveform, or a slot of the fault simulator's arena): the initial
+/// value and the strictly increasing toggle times.
+struct WaveView {
+    const Time* t = nullptr;
+    std::uint32_t n = 0;
+    bool initial = false;
+
+    [[nodiscard]] std::span<const Time> transitions() const { return {t, n}; }
+};
+
+/// Raw-buffer kernels of the Waveform operations below; the simulators
+/// run them on arena slots, the Waveform members are thin wrappers.
+
+/// Inertial pulse filtering of the toggles t[0, n) in place; returns
+/// the surviving count.
+std::size_t filter_pulses(Time* t, std::size_t n, Time min_width);
+
+/// Writes the toggles of `src` with its `rising` (else falling) edges
+/// delayed by delta to out (room for src.n); returns their count.
+std::size_t slow_edges(WaveView src, bool rising, Time delta, Time* out);
+
+/// out = the regions where XOR(a, b) is 1, clipped to [0, horizon), as
+/// a sorted disjoint list (Waveform::xor_of(a, b).ones(horizon)).
+void xor_ones(WaveView a, WaveView b, Time horizon, std::vector<Interval>& out);
 
 class Waveform {
 public:
@@ -30,10 +57,17 @@ public:
     static Waveform from_events(bool initial,
                                 std::span<const std::pair<Time, bool>> events);
 
-    /// Buffer-reusing form of from_events: overwrites this waveform,
-    /// keeping the capacity of its transition buffer.
-    void assign_events(bool initial,
-                       std::span<const std::pair<Time, bool>> events);
+    /// Overwrites this waveform with `initial` and the (strictly
+    /// increasing) toggle times `transitions`.
+    void assign(bool initial, std::span<const Time> transitions) {
+        initial_ = initial;
+        transitions_.assign(transitions.begin(), transitions.end());
+    }
+
+    [[nodiscard]] WaveView view() const {
+        return {transitions_.data(),
+                static_cast<std::uint32_t>(transitions_.size()), initial_};
+    }
 
     [[nodiscard]] bool initial() const { return initial_; }
     [[nodiscard]] bool final() const {
@@ -62,10 +96,6 @@ public:
     /// manifestation of a slow-to-rise / slow-to-fall small delay fault
     /// of size delta at this signal.
     [[nodiscard]] Waveform with_slowed_edges(bool rising, Time delta) const;
-
-    /// Buffer-reusing form of with_slowed_edges: this waveform becomes
-    /// `src.with_slowed_edges(rising, delta)`.  `src` must not be *this.
-    void assign_slowed(const Waveform& src, bool rising, Time delta);
 
     /// Pointwise XOR of two waveforms.
     static Waveform xor_of(const Waveform& a, const Waveform& b);

@@ -31,32 +31,37 @@ void IntervalSet::add(Interval iv) {
     }
 }
 
-void IntervalSet::unite(const IntervalSet& other) {
-    if (other.ivals_.empty()) return;
-    if (ivals_.empty()) {
-        ivals_ = other.ivals_;
-        return;
-    }
+void unite_intervals(std::span<const Interval> a, std::span<const Interval> b,
+                     std::vector<Interval>& out) {
     // Linear merge of two sorted disjoint lists.
-    std::vector<Interval> merged;
-    merged.reserve(ivals_.size() + other.ivals_.size());
+    out.clear();
     std::size_t i = 0;
     std::size_t j = 0;
-    auto push = [&merged](Interval iv) {
-        if (!merged.empty() && merged.back().hi >= iv.lo - kTimeEps) {
-            merged.back().hi = std::max(merged.back().hi, iv.hi);
+    auto push = [&out](Interval iv) {
+        if (!out.empty() && out.back().hi >= iv.lo - kTimeEps) {
+            out.back().hi = std::max(out.back().hi, iv.hi);
         } else {
-            merged.push_back(iv);
+            out.push_back(iv);
         }
     };
-    while (i < ivals_.size() || j < other.ivals_.size()) {
-        if (j == other.ivals_.size() ||
-            (i < ivals_.size() && ivals_[i].lo <= other.ivals_[j].lo)) {
-            push(ivals_[i++]);
+    while (i < a.size() || j < b.size()) {
+        if (j == b.size() || (i < a.size() && a[i].lo <= b[j].lo)) {
+            push(a[i++]);
         } else {
-            push(other.ivals_[j++]);
+            push(b[j++]);
         }
     }
+}
+
+void IntervalSet::unite(std::span<const Interval> other) {
+    if (other.empty()) return;
+    if (ivals_.empty()) {
+        ivals_.assign(other.begin(), other.end());
+        return;
+    }
+    std::vector<Interval> merged;
+    merged.reserve(ivals_.size() + other.size());
+    unite_intervals(ivals_, other, merged);
     ivals_ = std::move(merged);
 }
 
@@ -78,10 +83,14 @@ void IntervalSet::shift(Time d) {
     }
 }
 
-void IntervalSet::filter_glitches(Time min_width) {
-    std::erase_if(ivals_, [min_width](const Interval& iv) {
+void drop_short_intervals(std::vector<Interval>& ivals, Time min_width) {
+    std::erase_if(ivals, [min_width](const Interval& iv) {
         return iv.length() < min_width - kTimeEps;
     });
+}
+
+void IntervalSet::filter_glitches(Time min_width) {
+    drop_short_intervals(ivals_, min_width);
 }
 
 Time IntervalSet::measure() const {
@@ -90,11 +99,15 @@ Time IntervalSet::measure() const {
     return total;
 }
 
-bool IntervalSet::contains(Time t) const {
+bool intervals_contain(std::span<const Interval> ivals, Time t) {
     auto it = std::lower_bound(
-        ivals_.begin(), ivals_.end(), t,
+        ivals.begin(), ivals.end(), t,
         [](const Interval& a, Time v) { return a.hi <= v; });
-    return it != ivals_.end() && it->contains(t);
+    return it != ivals.end() && it->contains(t);
+}
+
+bool IntervalSet::contains(Time t) const {
+    return intervals_contain(ivals_, t);
 }
 
 bool IntervalSet::intersects(const IntervalSet& other) const {

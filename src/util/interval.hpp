@@ -37,6 +37,21 @@ struct Interval {
 
 std::ostream& operator<<(std::ostream& os, const Interval& iv);
 
+/// Span-level kernels of IntervalSet, for callers that keep interval
+/// lists in their own (flat, reused) buffers.  `a` and `b` are sorted
+/// disjoint lists as IntervalSet stores them.
+
+/// True iff t lies inside some interval of `ivals`.
+[[nodiscard]] bool intervals_contain(std::span<const Interval> ivals, Time t);
+
+/// out = a u b (out is overwritten; must alias neither input).
+void unite_intervals(std::span<const Interval> a, std::span<const Interval> b,
+                     std::vector<Interval>& out);
+
+/// Removes every interval shorter than min_width (the rule of
+/// IntervalSet::filter_glitches).
+void drop_short_intervals(std::vector<Interval>& ivals, Time min_width);
+
 /// A union of disjoint, sorted, non-empty half-open intervals.
 ///
 /// Invariant: for consecutive stored intervals a, b it holds that
@@ -54,8 +69,9 @@ public:
     void add(Interval iv);
     void add(Time lo, Time hi) { add(Interval{lo, hi}); }
 
-    /// Set union with another interval set.
-    void unite(const IntervalSet& other);
+    /// Set union with another interval set (or a sorted disjoint list).
+    void unite(const IntervalSet& other) { unite(other.intervals()); }
+    void unite(std::span<const Interval> other);
 
     /// Intersects this set with [lo, hi).
     void clip(Time lo, Time hi);

@@ -5,6 +5,7 @@
 // The engine promises bit-identical results regardless of worker count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
@@ -245,31 +246,84 @@ TEST_P(FaultSimEquivalence, DetectionTableMatchesAcrossThreadCounts) {
     }
 }
 
-// Both passes count their pairs and their fault-simulation time: pass B
-// adds exactly one simulated pair per (fault, active pattern) and
-// strictly raises fault_sim_seconds.
-TEST_P(FaultSimEquivalence, CountersCoverBothPasses) {
+// Pass B reads pass A's per-pattern ranges.  The oracle is the
+// re-simulating pass B the engine once ran: every (fault, active
+// pattern) pair simulated again with FaultSim, its ranges tested at
+// every period and configuration, the entries sorted by (fault,
+// period, pattern, config).  detection_table() itself must simulate
+// nothing.
+TEST_P(FaultSimEquivalence, DetectionTableMatchesResimulation) {
     const Scenario sc(GetParam());
-    const std::vector<Time> periods{sc.sta.clock_period};
-    const std::vector<Time> config_delays{0.0, sc.sta.clock_period * 0.2};
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const std::vector<Time> periods{sc.sta.clock_period,
+                                    sc.sta.clock_period * 0.8,
+                                    sc.sta.clock_period * 0.6};
+    const std::vector<Time> config_delays{0.0, sc.sta.clock_period * 0.1,
+                                          sc.sta.clock_period * 0.3};
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                      std::size_t{3}}) {
         SCOPED_TRACE("num_threads=" + std::to_string(threads));
         DetectionAnalysisConfig dac = sc.dac;
         dac.num_threads = threads;
         const DetectionAnalyzer analyzer(sc.sim, sc.patterns, sc.monitored,
                                          dac);
         const auto ranges = analyzer.analyze(sc.faults);
-        std::uint64_t active = 0;
-        for (const FaultRanges& r : ranges) active += r.active_patterns.size();
-        ASSERT_GT(active, 0u);
 
-        const DetectionCounters a = analyzer.counters();
-        (void)analyzer.detection_table(sc.faults, ranges, periods,
-                                       config_delays);
-        const DetectionCounters b = analyzer.counters();
-        EXPECT_EQ(b.pairs_simulated - a.pairs_simulated, active);
-        EXPECT_GT(b.fault_sim_seconds, a.fault_sim_seconds);
-        EXPECT_GT(b.gates_reevaluated, a.gates_reevaluated);
+        std::vector<DetectionEntry> want;
+        const FaultSim fsim(sc.sim);
+        for (std::uint32_t pi = 0; pi < sc.patterns.size(); ++pi) {
+            const auto good =
+                sc.sim.simulate(sc.patterns[pi].v1, sc.patterns[pi].v2);
+            for (std::uint32_t fi = 0; fi < sc.faults.size(); ++fi) {
+                const auto& active = ranges[fi].active_patterns;
+                if (std::find(active.begin(), active.end(), pi) ==
+                    active.end()) {
+                    continue;
+                }
+                IntervalSet ff;
+                IntervalSet sr;
+                for (const ObserveDiff& od : fsim.simulate(sc.faults[fi], good)) {
+                    IntervalSet ivals = od.diff.ones(dac.horizon);
+                    ivals.filter_glitches(dac.glitch_threshold);
+                    ff.unite(ivals);
+                    if (sc.monitored[od.observe_index]) sr.unite(ivals);
+                }
+                for (std::uint16_t ti = 0; ti < periods.size(); ++ti) {
+                    const Time t = periods[ti];
+                    for (std::uint16_t ci = 0; ci < config_delays.size();
+                         ++ci) {
+                        if (ff.contains(t) ||
+                            (ci != 0 && sr.contains(t - config_delays[ci]))) {
+                            want.push_back(DetectionEntry{fi, pi, ci, ti});
+                        }
+                    }
+                }
+            }
+        }
+        std::sort(want.begin(), want.end(),
+                  [](const DetectionEntry& a, const DetectionEntry& b) {
+                      if (a.fault_index != b.fault_index)
+                          return a.fault_index < b.fault_index;
+                      if (a.period != b.period) return a.period < b.period;
+                      if (a.pattern != b.pattern) return a.pattern < b.pattern;
+                      return a.config < b.config;
+                  });
+        ASSERT_FALSE(want.empty());
+
+        const DetectionCounters before = analyzer.counters();
+        const std::vector<DetectionEntry> got = analyzer.detection_table(
+            sc.faults, ranges, periods, config_delays);
+        const DetectionCounters after = analyzer.counters();
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].fault_index, want[i].fault_index) << i;
+            EXPECT_EQ(got[i].pattern, want[i].pattern) << i;
+            EXPECT_EQ(got[i].config, want[i].config) << i;
+            EXPECT_EQ(got[i].period, want[i].period) << i;
+        }
+        EXPECT_EQ(after.pairs_simulated, before.pairs_simulated);
+        EXPECT_EQ(after.gates_reevaluated, before.gates_reevaluated);
+        EXPECT_EQ(after.good_wave_sims, before.good_wave_sims);
+        EXPECT_FALSE(analyzer.interrupted());
     }
 }
 

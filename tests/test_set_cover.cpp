@@ -445,6 +445,68 @@ TEST(SetCover, KernelMatchesPinnedSearch) {
     }
 }
 
+/// The greedy heuristic as a full rescan: every pick scans every unused
+/// set and keeps the first of largest gain.
+SetCoverResult greedy_by_full_scan(const SetCoverInstance& inst,
+                                   double coverage) {
+    const auto target = static_cast<std::uint64_t>(
+        std::ceil(coverage * static_cast<double>(inst.total_weight()) - 1e-9));
+    std::vector<bool> covered(inst.num_elements, false);
+    std::vector<bool> used(inst.sets.size(), false);
+    SetCoverResult r;
+    while (r.covered_weight < target) {
+        std::size_t best = SIZE_MAX;
+        std::uint64_t best_gain = 0;
+        for (std::size_t s = 0; s < inst.sets.size(); ++s) {
+            if (used[s]) continue;
+            std::uint64_t gain = 0;
+            for (std::uint32_t e : inst.sets[s]) {
+                if (!covered[e]) gain += inst.weight_of(e);
+            }
+            if (gain > best_gain) {
+                best_gain = gain;
+                best = s;
+            }
+        }
+        if (best == SIZE_MAX) break;
+        used[best] = true;
+        r.chosen.push_back(static_cast<std::uint32_t>(best));
+        for (std::uint32_t e : inst.sets[best]) covered[e] = true;
+        r.covered_weight += best_gain;
+    }
+    std::sort(r.chosen.begin(), r.chosen.end());
+    r.feasible = r.covered_weight >= target;
+    return r;
+}
+
+TEST(SetCover, LazyGreedyMatchesFullScan) {
+    Prng rng(2024);
+    for (int instance = 0; instance < 60; ++instance) {
+        const auto elements =
+            20 + static_cast<std::uint32_t>(rng.next_below(400));
+        const auto sets = 5 + static_cast<std::uint32_t>(rng.next_below(120));
+        const auto memberships =
+            static_cast<std::uint32_t>(rng.next_below(4));
+        const bool runs = rng.chance(0.5);
+        const bool weighted = rng.chance(0.5);
+        const SetCoverInstance inst = kernel_instance(
+            rng.next_below(1U << 30), elements, sets, memberships, runs,
+            weighted);
+        for (const double coverage : {0.5, 0.9, 0.99, 1.0}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "instance " << instance << ", coverage "
+                         << coverage);
+            SetCoverOptions opt;
+            opt.coverage = coverage;
+            const SetCoverResult got = greedy_set_cover(inst, opt);
+            const SetCoverResult want = greedy_by_full_scan(inst, coverage);
+            EXPECT_EQ(got.chosen, want.chosen);
+            EXPECT_EQ(got.covered_weight, want.covered_weight);
+            EXPECT_EQ(got.feasible, want.feasible);
+        }
+    }
+}
+
 TEST(SetCover, BudgetFallsBackToGreedy) {
     Prng rng(17);
     SetCoverInstance inst;
